@@ -12,6 +12,7 @@ CSV tables carry 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -43,6 +44,8 @@ def _resolve_k(raw: str, n: int) -> int:
         value = float(raw)
     except ValueError:
         raise ValidationError(f"--k must be an integer or a fraction, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"--k must be finite, got {raw!r}")
     if 0.0 < value < 1.0:
         return snap_floor(value * n)
     if value == int(value) and value >= 1:
@@ -73,27 +76,33 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps({k: _json_ready(v) for k, v in payload.items()}) + "\n")
 
 
-def _open_sink(path: str | None):
+@contextlib.contextmanager
+def _csv_sink(path: str | None):
+    """Open a CSV destination: a file path, or stdout for None and '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    sink, own = _open_sink(path)
+        yield sys.stdout
+        return
     try:
-        sink.write(",".join(header) + "\n")
-        for row in rows:
-            sink.write(",".join(row) + "\n")
-    finally:
-        if own:
-            sink.close()
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
+        yield fh
+
+
+def _write_csv(sink, header: list[str], rows) -> None:
+    sink.write(",".join(header) + "\n")
+    for row in rows:
+        sink.write(",".join(row) + "\n")
 
 
 def _load(args):
     if args.input == "-":
         return parse_dataset(sys.stdin)
-    return parse_dataset(args.input)
+    try:
+        return parse_dataset(args.input)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {args.input}: {exc.strerror}") from None
 
 
 def _prepare(args):
@@ -165,11 +174,12 @@ def _cmd_gof(args) -> int:
         series = pot_gof_series(
             ordered, curve, _POT[args.model], config.k, fit.pi_hat, fit.scale_hat
         )
-    _write_csv(
-        args.output,
-        ["x", "y"],
-        ([format_sig(x), format_sig(y)] for x, y in zip(series.x, series.y)),
-    )
+    with _csv_sink(args.output) as sink:
+        _write_csv(
+            sink,
+            ["x", "y"],
+            ([format_sig(x), format_sig(y)] for x, y in zip(series.x, series.y)),
+        )
     return 0
 
 
@@ -196,14 +206,16 @@ def _cmd_simulate(args) -> int:
             for s in summaries
         ],
     }
-    sys.stdout.write(json.dumps(_emit_json_raw) + "\n")
 
     def rep_rows():
         for s in summaries:
             for r, est, sq, b in zip(s.rep_indices, s.estimates, s.squared_errors, s.biases):
                 yield [str(int(r)), s.label, format_sig(est), format_sig(sq), format_sig(b)]
 
-    _write_csv(args.rep_csv, ["rep", "estimator", "p_hat", "sq_error", "bias"], rep_rows())
+    # opened first, so an unwritable path fails before any JSON is printed
+    with _csv_sink(args.rep_csv) as sink:
+        sys.stdout.write(json.dumps(_emit_json_raw) + "\n")
+        _write_csv(sink, ["rep", "estimator", "p_hat", "sq_error", "bias"], rep_rows())
     return 0
 
 
@@ -218,11 +230,12 @@ def _cmd_stress(args) -> int:
     except ValueError:
         raise ValidationError(f"--fractions must be comma-separated reals, got {args.fractions!r}")
     rows = stress_sweep(sample, fractions, args.model, config)
-    _write_csv(
-        args.output,
-        ["fraction", "p_hat", "p_n"],
-        ([format_sig(r.fraction), format_sig(r.p_hat), format_sig(r.p_n)] for r in rows),
-    )
+    with _csv_sink(args.output) as sink:
+        _write_csv(
+            sink,
+            ["fraction", "p_hat", "p_n"],
+            ([format_sig(r.fraction), format_sig(r.p_hat), format_sig(r.p_n)] for r in rows),
+        )
     return 0
 
 

@@ -41,6 +41,11 @@ BOUNDARY_EPS = 1e-15
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Most (level, term) elements one profile_levels chunk holds.  Larger
+# chunks raise peak memory; smaller ones pay numpy's per-call overhead
+# more often.
+PROFILE_CHUNK_ELEMENTS = 8192
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -65,8 +70,9 @@ class FitConfig:
             isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam >= 0
         ):
             raise ValidationError(f"lam must be a finite non-negative real, got {self.lam!r}")
-        if self.p_grid_resolution < 10:
-            raise ValidationError("p_grid_resolution must be at least 10")
+        res = self.p_grid_resolution
+        if isinstance(res, bool) or not isinstance(res, (int, np.integer)) or res < 10:
+            raise ValidationError(f"p_grid_resolution must be an integer >= 10, got {res!r}")
         if not (self.refine_tolerance > 0):
             raise ValidationError("refine_tolerance must be positive")
 
@@ -135,50 +141,124 @@ def _check_p(p: float, lower: float, label: str = "p") -> None:
         raise InfeasiblePError(f"{label} must exceed the feasibility bound {lower}, got {p}")
 
 
-def _term_masks(model: PlottingModel, f_top: np.ndarray, f_thr: float, p: float):
+def _term_masks(model: PlottingModel, f_top: np.ndarray, f_thr: float, p):
     """Retained-term mask and threshold admissibility at cure level p.
 
-    The Pareto transform stays finite as its argument reaches 1 (value 0),
-    so only the lower boundary is guarded there; the other two transforms
-    diverge at both ends.
+    ``p`` is a scalar or a column of levels that broadcasts against
+    ``f_top``.  The Pareto transform stays finite as its argument reaches
+    1 (value 0), so only the lower boundary is guarded there; the other
+    two transforms diverge at both ends.  An inadmissible threshold drops
+    every term of its level.
     """
     t_top = 1.0 - f_top / p
     t_thr = 1.0 - f_thr / p
-    if model is PlottingModel.PARETO:
-        thr_ok = t_thr > BOUNDARY_EPS
-        keep = t_top > BOUNDARY_EPS
-    else:
-        thr_ok = BOUNDARY_EPS < t_thr < 1.0 - BOUNDARY_EPS
-        keep = (t_top > BOUNDARY_EPS) & (t_top < 1.0 - BOUNDARY_EPS)
-    if not thr_ok:
-        keep = np.zeros_like(keep)
+    pareto = model is PlottingModel.PARETO
+    thr_ok = t_thr > BOUNDARY_EPS
+    if not pareto:
+        thr_ok = thr_ok & (t_thr < 1.0 - BOUNDARY_EPS)
+    if not np.any(thr_ok):
+        return t_top, t_thr, np.zeros(np.shape(t_top), dtype=bool), thr_ok
+    keep = t_top > BOUNDARY_EPS
+    if not pareto:
+        keep &= t_top < 1.0 - BOUNDARY_EPS
+    if not np.all(thr_ok):
+        keep &= thr_ok
     return t_top, t_thr, keep, thr_ok
 
 
-def _profile(model, f_top, f_thr, x, p, lam, p_n):
-    """Loss, profiled slope and skipped count at cure level p.
+def _distinct(values: np.ndarray):
+    """Distinct values and the index that gathers ``values`` back from them.
 
-    The loss is an exact quadratic in the slope, so the optimal slope is
-    the least-squares line through the origin on the retained terms.
+    Returns ``(values, None)`` when gathering would save less than half
+    of the elements.
     """
-    k = f_top.size
-    penalty = lam * (p - p_n) ** 2
-    t_top, t_thr, keep, thr_ok = _term_masks(model, f_top, f_thr, p)
-    kept = int(np.count_nonzero(keep))
-    if kept == 0:
-        return penalty, math.nan, k
-    s_thr = float(_s_values(model, np.asarray([t_thr]))[0]) if t_thr < 1.0 else 0.0
-    y = _s_values(model, t_top[keep]) - s_thr
-    xk = x[keep]
-    sxx = float(xk @ xk)
-    if sxx == 0.0:
-        slope = 0.0
-        ssr = float(y @ y)
-    else:
-        slope = float(xk @ y) / sxx
-        r = y - slope * xk
-        ssr = float(r @ r)
-    return ssr + penalty, slope, k - kept
+    uniq, inverse = np.unique(values, return_inverse=True)
+    if 2 * uniq.size > values.size:
+        return values, None
+    return uniq, inverse
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """Row-wise dot products of two arrays that broadcast to (rows, k)."""
+    if a.ndim == 1:
+        return b @ a
+    if b.ndim == 1:
+        return a @ b
+    # a stack of (1, k) @ (k, 1) products; faster than einsum here
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def profile_levels(levels, k: int, terms):
+    """Loss, profiled slope and skipped-term count at each level.
+
+    At a fixed level both fit families are a least-squares line through
+    the origin on the retained terms, plus a penalty on the level.
+    ``terms(chunk)`` maps a 1-d array of levels to ``(x, y, keep,
+    penalty)``: regressor and response, each ``(rows, k)`` or ``(k,)`` when
+    the same at every level; the ``(rows, k)`` retained-term mask, or None
+    when every term is kept; and the per-level penalty.  ``y`` is not read
+    when no level of the chunk keeps a term.  A level that keeps
+    no term scores its penalty alone with a NaN slope; a retained
+    regressor of zero norm gets slope 0.  Levels are evaluated in chunks of
+    at most ``PROFILE_CHUNK_ELEMENTS`` terms.
+    """
+    levels = np.asarray(levels, dtype=float)
+    loss = np.empty(levels.size)
+    slope = np.full(levels.size, math.nan)
+    kept = np.full(levels.size, k)
+    rows = max(1, PROFILE_CHUNK_ELEMENTS // k)
+    for start in range(0, levels.size, rows):
+        part = slice(start, start + rows)
+        x, y, keep, penalty = terms(levels[part])
+        loss[part] = penalty
+        if keep is not None:
+            kept[part] = np.count_nonzero(keep, axis=1)
+            if not kept[part].any():
+                continue
+            x = np.where(keep, x, 0.0)
+            y = np.where(keep, y, 0.0)
+        sxx = _rowdot(x, x)
+        b = np.divide(_rowdot(x, y), sxx, out=np.zeros(penalty.shape), where=sxx != 0.0)
+        r = y - b[:, None] * x
+        loss[part] += _rowdot(r, r)
+        slope[part] = b
+    slope[kept == 0] = math.nan
+    return loss, slope, k - kept
+
+
+def _profile_at(level: float, k: int, terms):
+    """``profile_levels`` at a single level, as Python scalars."""
+    loss, slope, skipped = profile_levels(np.array([level]), k, terms)
+    return float(loss[0]), float(slope[0]), int(skipped[0])
+
+
+def _plot_terms(model, f_top, f_thr, x, lam, p_n):
+    """Plot-fit rows for ``profile_levels``: y = s(1 - F/p) - s_thr against x.
+
+    The transform runs once per distinct curve value, with the threshold
+    as one more column; the curve is constant between event times.
+    """
+    f_dist, gather = _distinct(f_top)
+
+    def terms(p):
+        penalty = lam * (p - p_n) ** 2
+        t, t_thr, keep, thr_ok = _term_masks(model, f_dist, f_thr, p[:, None])
+        if not keep.any():
+            # e.g. Weibull and log-normal at F(threshold) = 0
+            return x, None, keep, penalty
+        all_kept = bool(keep.all())
+        args = np.concatenate([t, t_thr], axis=1)
+        if not all_kept:
+            args = np.where(np.concatenate([keep, thr_ok], axis=1), args, 0.5)
+        # at t_thr == 1 (F(threshold) = 0) only Pareto keeps terms, and -log 1 = 0
+        s = _s_values(model, args)
+        y = s[:, :-1] - s[:, -1:]
+        if gather is not None:
+            y = y[:, gather]
+            keep = keep[:, gather]
+        return x, y, None if all_kept else keep, penalty
+
+    return terms
 
 
 def _golden_min(fun, a: float, b: float, xtol: float):
@@ -212,12 +292,19 @@ def _golden_min(fun, a: float, b: float, xtol: float):
 def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol: float):
     """Dense grid over (lower, upper] followed by golden-section refinement.
 
+    ``fun`` maps a 1-d array of arguments to the array of their values.
+    The grid is one call with all ``resolution`` points; golden-section
+    refinement and the boundary probe call it with one point at a time.
     Refines around every local minimum of the grid profile (up to the three
     deepest) so narrow basins near the feasibility edge are not lost, then
     probes the left boundary notch.  Ties resolve to the smallest argument.
     """
+
+    def at(v):
+        return float(fun(np.array([v]))[0])
+
     grid = lower + (upper - lower) * np.arange(1, resolution + 1) / resolution
-    vals = np.array([fun(g) for g in grid])
+    vals = np.asarray(fun(grid), dtype=float)
     # local minima of the sampled profile, endpoints included
     lower_nb = np.r_[np.inf, vals[:-1]]
     upper_nb = np.r_[vals[1:], np.inf]
@@ -228,13 +315,13 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     for i in order:
         a = grid[i - 1] if i > 0 else lower + (upper - lower) * 1e-12
         b = grid[i + 1] if i < resolution - 1 else upper
-        x, f = _golden_min(fun, float(a), float(b), xtol)
+        x, f = _golden_min(at, float(a), float(b), xtol)
         if f < best_f or (f == best_f and x < best_x):
             best_x, best_f = x, f
     # boundary notch: the first representable point past the open lower end
     notch = np.nextafter(lower, upper)
     if notch < upper:
-        f = fun(notch)
+        f = at(notch)
         if f < best_f or (f == best_f and notch < best_x):
             best_x, best_f = float(notch), f
     return best_x, best_f
@@ -285,17 +372,16 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
     p_n = p_benchmark(curve, ordered)
     lam = config.resolved_lam(ordered.n)
 
+    terms = _plot_terms(model, f_top, f_thr, x, lam, p_n)
     if p_n >= 1.0:
-        loss, slope, skipped = _profile(model, f_top, f_thr, x, 1.0, lam, p_n)
+        loss, slope, skipped = _profile_at(1.0, config.k, terms)
         return CureFit(1.0, slope, loss, p_n, config.k, p_n, skipped, boundary=True)
 
-    def profiled(p):
-        return _profile(model, f_top, f_thr, x, p, lam, p_n)[0]
-
     p_hat, _ = minimize_on_interval(
-        profiled, p_n, 1.0, config.p_grid_resolution, config.refine_tolerance
+        lambda p: profile_levels(p, config.k, terms)[0],
+        p_n, 1.0, config.p_grid_resolution, config.refine_tolerance,
     )
-    loss, slope, skipped = _profile(model, f_top, f_thr, x, p_hat, lam, p_n)
+    loss, slope, skipped = _profile_at(p_hat, config.k, terms)
     return CureFit(float(p_hat), slope, loss, p_n, config.k, p_n, skipped)
 
 

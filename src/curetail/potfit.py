@@ -25,8 +25,11 @@ from .plotfit import (
     BOUNDARY_EPS,
     FitConfig,
     PlotSeries,
+    _distinct,
+    _profile_at,
     minimize_on_interval,
     p_benchmark,
+    profile_levels,
 )
 from .survival import (
     KaplanMeierCurve,
@@ -102,24 +105,26 @@ def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
     return float(r @ r) + penalty
 
 
-def _pot_profile(e, f_k, pi, lam, p_n, p_k):
-    """Loss, profiled scale and skipped count at conditional level pi."""
-    k = e.size
-    p = 1.0 - (1.0 - pi) * p_k
-    penalty = lam * (p - p_n) ** 2
-    arg = 1.0 - f_k / pi
-    keep = arg > BOUNDARY_EPS
-    kept = int(np.count_nonzero(keep))
-    if kept == 0:
-        return penalty, math.nan, k
-    w = np.log(arg[keep])
-    ek = e[keep]
-    sww = float(w @ w)
-    if sww == 0.0:
-        return float(ek @ ek) + penalty, math.nan, k - kept
-    scale = -float(ek @ w) / sww
-    r = ek + scale * w
-    return float(r @ r) + penalty, scale, k - kept
+def _pot_terms(e, f_k, lam, p_n, p_k):
+    """Exceedance-fit rows for ``profile_levels``: e against w = log(1 - F/pi).
+
+    The profiled slope is minus the scale.  The logarithm runs once per
+    distinct value of the conditional curve.
+    """
+    f_dist, gather = _distinct(f_k)
+
+    def terms(pi):
+        arg = 1.0 - f_dist / pi[:, None]
+        keep = arg > BOUNDARY_EPS
+        all_kept = bool(keep.all())
+        w = np.log(arg if all_kept else np.where(keep, arg, 1.0))
+        if gather is not None:
+            w = w[:, gather]
+            keep = keep[:, gather]
+        p = 1.0 - (1.0 - pi) * p_k
+        return w, e, None if all_kept else keep, lam * (p - p_n) ** 2
+
+    return terms
 
 
 def pot_fit(
@@ -151,17 +156,19 @@ def pot_fit(
     lam = config.resolved_lam(n)
     pi_lower = float(exc_curve.cdf_values[-1])
 
+    terms = _pot_terms(e, f_k, lam, p_n, p_k)
     if pi_lower >= 1.0:
-        loss, scale, skipped = _pot_profile(e, f_k, 1.0, lam, p_n, p_k)
+        loss, slope, skipped = _profile_at(1.0, config.k, terms)
+        # slope 0: the kept log-terms all vanish, and no scale is identified
+        scale = -slope if slope != 0.0 else math.nan
         return PotFit(scale, 1.0, 1.0, p_k, loss, config.k, False, skipped, boundary=True)
 
-    def profiled(pi):
-        return _pot_profile(e, f_k, pi, lam, p_n, p_k)[0]
-
     pi_hat, _ = minimize_on_interval(
-        profiled, pi_lower, 1.0, config.p_grid_resolution, config.refine_tolerance
+        lambda pi: profile_levels(pi, config.k, terms)[0],
+        pi_lower, 1.0, config.p_grid_resolution, config.refine_tolerance,
     )
-    loss, scale, skipped = _pot_profile(e, f_k, pi_hat, lam, p_n, p_k)
+    loss, slope, skipped = _profile_at(pi_hat, config.k, terms)
+    scale = -slope
     if not (math.isfinite(scale) and scale > 0.0):
         raise DegenerateExceedancesError(
             "exceedance fit collapsed to a non-positive scale"

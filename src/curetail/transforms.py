@@ -89,10 +89,12 @@ _F = (
 def _ratpoly(coef_num, coef_den, r):
     num = np.full_like(r, coef_num[-1])
     for c in coef_num[-2::-1]:
-        num = num * r + c
+        num *= r
+        num += c
     den = np.full_like(r, coef_den[-1])
     for c in coef_den[-2::-1]:
-        den = den * r + c
+        den *= r
+        den += c
     return num / den
 
 
@@ -106,6 +108,14 @@ def norm_quantile(u):
     arr = np.asarray(u, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
         raise TransformDomainError("quantile argument must lie strictly inside (0, 1)")
+    out = _norm_quantile(arr)
+    if arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def _norm_quantile(arr: np.ndarray) -> np.ndarray:
+    """Unchecked core of ``norm_quantile``: callers keep ``arr`` inside (0, 1)."""
     q = arr - 0.5
     out = np.empty_like(arr)
 
@@ -117,18 +127,15 @@ def norm_quantile(u):
 
     tails = ~central
     if np.any(tails):
-        small = np.minimum(arr[tails], 1.0 - arr[tails])
-        r = np.sqrt(-np.log(small))
+        at = arr[tails]
+        r = np.sqrt(-np.log(np.minimum(at, 1.0 - at)))
         near = r <= 5.0
-        x = np.where(
-            near,
-            _ratpoly(_C, _D, np.where(near, r - 1.6, 0.0)),
-            _ratpoly(_E, _F, np.where(near, 0.0, r - 5.0)),
-        )
+        x = np.empty_like(r)
+        x[near] = _ratpoly(_C, _D, r[near] - 1.6)
+        far = ~near
+        if np.any(far):
+            x[far] = _ratpoly(_E, _F, r[far] - 5.0)
         out[tails] = np.where(q[tails] < 0.0, -x, x)
-
-    if arr.ndim == 0:
-        return float(out)
     return out
 
 
@@ -152,4 +159,4 @@ def _s_values(model: PlottingModel, t: np.ndarray) -> np.ndarray:
     if model is PlottingModel.WEIBULL:
         return np.log(-np.log(t))
     # upper-tail quantile: Phi^{-1}(1 - t) = -Phi^{-1}(t)
-    return -np.asarray(norm_quantile(t))
+    return -_norm_quantile(np.asarray(t, dtype=float))

@@ -331,6 +331,37 @@ class TestCli:
         assert code == 3
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("k", ["1e400", "nan", "inf", "-inf"])
+    def test_non_finite_k_exit_code(self, tmp_path, capsys, k):
+        path = tmp_path / "d.csv"
+        make_dataset(path, n=40)
+        code = main(["fit", "--input", str(path), "--model", "pareto", f"--k={k}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_missing_input_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main(["fit", "--input", str(missing), "--model", "pareto", "--k", "20"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_unwritable_rep_csv_exit_code(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "reps.csv"
+        code = main([
+            "simulate", "--scenario", "2", "--n", "60", "--reps", "2", "--p", "0.8",
+            "--seed", "3", "--estimators", "pn", "--rep-csv", str(target),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not target.parent.exists()
+
     def test_diag_validation_exit_code(self, capsys):
         code = main(["diag", "--gamma-c", "0.5", "--k", "1"])
         assert code == 2

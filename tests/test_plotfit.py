@@ -249,6 +249,10 @@ class TestPpFit:
             FitConfig(k=10, lam=-1.0)
         with pytest.raises(ValidationError):
             FitConfig(k=10, p_grid_resolution=5)
+        for not_integer in (10.5, 512.0, True, "512"):
+            with pytest.raises(ValidationError):
+                FitConfig(k=10, p_grid_resolution=not_integer)
+        assert FitConfig(k=10, p_grid_resolution=np.int64(64)).p_grid_resolution == 64
         with pytest.raises(ValidationError):
             FitConfig(k=10, refine_tolerance=0.0)
 

@@ -7,6 +7,39 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 from curetail import PlottingModel, TransformDomainError, norm_quantile, s_transform
+from curetail.transforms import _A, _B, _C, _D, _E, _F, _norm_quantile
+
+
+def reference_norm_quantile(arr):
+    """The quantile formula as first written: both tail branches are
+    evaluated on every tail element and np.where picks one."""
+
+    def ratpoly(coef_num, coef_den, r):
+        num = np.full_like(r, coef_num[-1])
+        for c in coef_num[-2::-1]:
+            num = num * r + c
+        den = np.full_like(r, coef_den[-1])
+        for c in coef_den[-2::-1]:
+            den = den * r + c
+        return num / den
+
+    q = arr - 0.5
+    out = np.empty_like(arr)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = qc * ratpoly(_A, _B, 0.180625 - qc * qc)
+    tails = ~central
+    small = np.minimum(arr[tails], 1.0 - arr[tails])
+    r = np.sqrt(-np.log(small))
+    near = r <= 5.0
+    x = np.where(
+        near,
+        ratpoly(_C, _D, np.where(near, r - 1.6, 0.0)),
+        ratpoly(_E, _F, np.where(near, 0.0, r - 5.0)),
+    )
+    out[tails] = np.where(q[tails] < 0.0, -x, x)
+    return out
+
 
 # upper quantile of the standard normal at 0.975, evaluated with a
 # 40-digit inverse-erf oracle ahead of time
@@ -83,6 +116,20 @@ class TestNormQuantile:
         assert_allclose(norm_quantile(u), [norm_quantile(float(x)) for x in u], rtol=0)
 
     def test_domain_guard(self):
-        for bad in (0.0, 1.0, -0.2, 1.4, float("inf"), float("nan")):
+        for bad in (0.0, 1.0, -0.2, 1.4, float("inf"), float("-inf"), float("nan")):
             with pytest.raises(TransformDomainError):
                 norm_quantile(bad)
+            with pytest.raises(TransformDomainError):
+                norm_quantile(np.array([0.5, bad]))
+
+    def test_core_is_bit_identical_to_reference_formula(self):
+        # branch edges: |u - 0.5| = 0.425, and r = 5 between the two tail
+        # approximations, which sits at u = exp(-25)
+        edge = math.exp(-25.0)
+        points = [0.075, 0.925, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+                  1.0 - edge, 1e-300, np.nextafter(1.0, 0.0), 0.5]
+        rng = np.random.default_rng(4)
+        u = np.concatenate([points, rng.random(5000), np.exp(-rng.uniform(0.0, 690.0, 5000))])
+        assert np.array_equal(_norm_quantile(u), reference_norm_quantile(u))
+        grid = u[:9999].reshape(-1, 3)
+        assert np.array_equal(_norm_quantile(grid), reference_norm_quantile(grid))
