@@ -6,7 +6,9 @@ JSON summary plus per-replication CSV), ``stress`` (follow-up stress
 sweep, CSV) and ``diag`` (variance constant of the benchmark, JSON).
 
 Exit codes: 0 on success, 2 for invalid inputs, 3 when the data defeats
-the requested computation.  JSON goes to stdout at full float precision;
+the requested computation.  ``diag --k`` and ``simulate --n`` size arrays
+of that length, so both are capped at ``MAX_SIZE`` (10**7); a larger value
+is an invalid input.  JSON goes to stdout at full float precision;
 CSV tables carry 9 significant digits.
 """
 from __future__ import annotations
@@ -36,6 +38,14 @@ _POT = {
     "gumbel-pot": PotDomain.GUMBEL,
     "frechet-pot": PotDomain.FRECHET,
 }
+
+# Largest diag --k and simulate --n accepted.
+MAX_SIZE = 10**7
+
+
+def _check_size(flag: str, value: int) -> None:
+    if value > MAX_SIZE:
+        raise ValidationError(f"{flag} must be at most {MAX_SIZE}, got {value}")
 
 
 def _resolve_k(raw: str, n: int) -> int:
@@ -184,6 +194,7 @@ def _cmd_gof(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_size("--n", args.n)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     spec = scenario_spec(args.scenario, args.n, args.reps, args.p, args.seed)
     summaries = run_scenario(spec, estimators)
@@ -240,6 +251,7 @@ def _cmd_stress(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    _check_size("--k", args.k)
     tail = CensoringTail(gamma_c=args.gamma_c, k=args.k, n=args.k + 1)
     _emit_json({"gamma_c": args.gamma_c, "k": args.k, "sigma2_k": sigma2_k(tail)})
     return 0
@@ -275,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="scenario Monte Carlo, print JSON summary")
     sim.add_argument("--scenario", type=int, required=True, choices=list(SCENARIO_IDS))
-    sim.add_argument("--n", type=int, required=True)
+    sim.add_argument("--n", type=int, required=True,
+                     help=f"sample size per replication (at most {MAX_SIZE})")
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--p", type=float, required=True)
     sim.add_argument("--seed", type=int, default=0)
@@ -302,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = commands.add_parser("diag", help="benchmark variance constant, print JSON")
     diag.add_argument("--gamma-c", type=float, required=True, dest="gamma_c")
-    diag.add_argument("--k", type=int, required=True)
+    diag.add_argument("--k", type=int, required=True, help=f"tail size (at most {MAX_SIZE})")
     diag.set_defaults(func=_cmd_diag)
 
     return parser

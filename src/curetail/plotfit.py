@@ -66,10 +66,8 @@ class FitConfig:
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or self.k < 2:
             raise InvalidKError(f"k must be an integer >= 2, got {self.k!r}")
-        if self.lam is not None and not (
-            isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam >= 0
-        ):
-            raise ValidationError(f"lam must be a finite non-negative real, got {self.lam!r}")
+        if self.lam is not None:
+            _check_lam(self.lam)
         res = self.p_grid_resolution
         if isinstance(res, bool) or not isinstance(res, (int, np.integer)) or res < 10:
             raise ValidationError(f"p_grid_resolution must be an integer >= 10, got {res!r}")
@@ -133,12 +131,22 @@ def _top_slice(ordered: OrderedSample, curve: KaplanMeierCurve, k: int):
     return threshold, z_top, f_top, f_thr
 
 
-def _check_p(p: float, lower: float, label: str = "p") -> None:
-    # p = 1 stays admissible even when the benchmark itself reaches 1.
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or not (0.0 < p <= 1.0):
-        raise InfeasiblePError(f"{label} must lie in (0, 1], got {p!r}")
-    if p <= lower and p != 1.0:
-        raise InfeasiblePError(f"{label} must exceed the feasibility bound {lower}, got {p}")
+def _check_lam(lam) -> None:
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lam must be a finite non-negative real, got {lam!r}")
+
+
+def _check_level(value, label: str, error, lower: float = 0.0) -> None:
+    """Raise ``error`` unless the level ``value`` lies in (lower, 1] and in (0, 1].
+
+    1 stays admissible even when the feasibility bound itself reaches 1.
+    """
+    if not (isinstance(value, (int, float)) and math.isfinite(value)) or not (
+        0.0 < value <= 1.0
+    ):
+        raise error(f"{label} must lie in (0, 1], got {value!r}")
+    if value <= lower and value != 1.0:
+        raise error(f"{label} must exceed the feasibility bound {lower}, got {value}")
 
 
 def _term_masks(model: PlottingModel, f_top: np.ndarray, f_thr: float, p):
@@ -179,13 +187,18 @@ def _distinct(values: np.ndarray):
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray):
-    """Row-wise dot products of two arrays that broadcast to (rows, k)."""
-    if a.ndim == 1:
-        return b @ a
-    if b.ndim == 1:
-        return a @ b
-    # a stack of (1, k) @ (k, 1) products; faster than einsum here
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Row-wise dot products of two arrays that broadcast to (rows, k).
+
+    Every row is reduced on its own, as one (1, k) @ (k, 1) product, so a
+    row's sum does not depend on how many rows share the call; a
+    matrix-vector product sums rows in an order that does.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _chunk_rows(k: int) -> int:
+    """Levels of ``k`` terms each that one ``profile_levels`` chunk holds."""
+    return max(1, PROFILE_CHUNK_ELEMENTS // k)
 
 
 def profile_levels(levels, k: int, terms):
@@ -201,12 +214,17 @@ def profile_levels(levels, k: int, terms):
     no term scores its penalty alone with a NaN slope; a retained
     regressor of zero norm gets slope 0.  Levels are evaluated in chunks of
     at most ``PROFILE_CHUNK_ELEMENTS`` terms.
+
+    A level's results do not depend on the other levels of the call, bit
+    for bit, provided ``terms`` builds each row from its level alone (in
+    C order); ``_golden_min`` relies on this to evaluate points ahead of
+    time.
     """
     levels = np.asarray(levels, dtype=float)
     loss = np.empty(levels.size)
     slope = np.full(levels.size, math.nan)
     kept = np.full(levels.size, k)
-    rows = max(1, PROFILE_CHUNK_ELEMENTS // k)
+    rows = _chunk_rows(k)
     for start in range(0, levels.size, rows):
         part = slice(start, start + rows)
         x, y, keep, penalty = terms(levels[part])
@@ -254,57 +272,104 @@ def _plot_terms(model, f_top, f_thr, x, lam, p_n):
         s = _s_values(model, args)
         y = s[:, :-1] - s[:, -1:]
         if gather is not None:
-            y = y[:, gather]
-            keep = keep[:, gather]
+            # take() keeps rows C-contiguous; y[:, gather] would not
+            y = y.take(gather, axis=1)
+            keep = keep.take(gather, axis=1)
         return x, y, None if all_kept else keep, penalty
 
     return terms
 
 
-def _golden_min(fun, a: float, b: float, xtol: float):
-    """Golden-section minimizer biased toward the left end under ties."""
+def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int, xtol: float):
+    """Every point the next ``steps`` golden-section steps can evaluate.
+
+    The search sits at bracket (a, b) with inner points c < d, and ``left``
+    is the outcome of ``fc <= fd`` that decides the next step.  Each step
+    adds one point and the comparison of its value decides the step after,
+    so the points form a binary tree of at most ``2**steps - 1`` nodes,
+    computed here with the search's own expressions.  A branch ends where
+    the search would stop on ``xtol``.
+    """
+    if left:
+        c_left = d - _INVPHI * (d - a)
+        states, points = [(a, d, c_left, c)], [c_left]
+    else:
+        d_right = c + _INVPHI * (b - c)
+        states, points = [(c, b, d, d_right)], [d_right]
+    for _ in range(steps - 1):
+        grown = []
+        for a, b, c, d in states:
+            if b - a <= xtol:
+                continue
+            c_left = d - _INVPHI * (d - a)
+            d_right = c + _INVPHI * (b - c)
+            points += (c_left, d_right)
+            grown += ((a, d, c_left, c), (c, b, d, d_right))
+        states = grown
+    return points
+
+
+def _golden_min(fun, a: float, b: float, xtol: float, width: int = 1):
+    """Golden-section minimizer biased toward the left end under ties.
+
+    ``fun`` maps a 1-d array of points to the array of their values, and
+    must give a point the same value whatever else shares its call.  The
+    first inner pair is one call of 2 points.  After that, each call
+    evaluates the whole tree of points that the next ``depth`` steps can
+    reach, ``2**depth - 1 <= width`` of them (``depth`` at least 1), and
+    the steps are then replayed against those values exactly as a
+    one-point-per-call search takes them: same points, same ``fc <= fd``
+    tie rule, same 200-step cap.  A replayed point missing from its batch
+    raises ``KeyError``.  ``width=1`` is the plain sequential search.
+    """
+    depth = max(1, (width + 1).bit_length() - 1)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = fun(c)
-    fd = fun(d)
+    fc, fd = (float(v) for v in fun(np.array([c, d])))
     if fc <= fd:
         best_x, best_f = c, fc
     else:
         best_x, best_f = d, fd
-    for _ in range(200):
+    for step in range(200):
         if b - a <= xtol:
             break
+        if step % depth == 0:
+            points = _golden_tree(a, b, c, d, fc <= fd, min(depth, 200 - step), xtol)
+            values = dict(zip(points, np.asarray(fun(np.array(points)), dtype=float).tolist()))
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = fun(c)
+            fc = values[c]
             if fc < best_f:
                 best_x, best_f = c, fc
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = fun(d)
+            fd = values[d]
             if fd < best_f:
                 best_x, best_f = d, fd
     return best_x, best_f
 
 
-def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol: float):
+def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol: float,
+                         *, width: int = 1):
     """Dense grid over (lower, upper] followed by golden-section refinement.
 
-    ``fun`` maps a 1-d array of arguments to the array of their values.
-    The grid is one call with all ``resolution`` points; golden-section
-    refinement and the boundary probe call it with one point at a time.
+    ``fun`` maps a 1-d array of arguments to the array of their values,
+    and a point's value must not depend on the other points of its call.
+    The grid is one call with all ``resolution`` points plus the boundary
+    notch, the first representable point past the open lower end.
     Refines around every local minimum of the grid profile (up to the three
-    deepest) so narrow basins near the feasibility edge are not lost, then
-    probes the left boundary notch.  Ties resolve to the smallest argument.
+    deepest) with ``_golden_min``, whose calls hold at most ``width``
+    points after the first pair of each basin; pass the number of points
+    ``fun`` evaluates as cheaply as one.  The notch wins when it beats
+    every refined basin.  Ties resolve to the smallest argument.
     """
-
-    def at(v):
-        return float(fun(np.array([v]))[0])
-
     grid = lower + (upper - lower) * np.arange(1, resolution + 1) / resolution
-    vals = np.asarray(fun(grid), dtype=float)
+    notch = np.nextafter(lower, upper)
+    probe = notch < upper
+    vals = np.asarray(fun(np.append(grid, notch) if probe else grid), dtype=float)
+    vals, notch_f = vals[:resolution], float(vals[-1])
     # local minima of the sampled profile, endpoints included
     lower_nb = np.r_[np.inf, vals[:-1]]
     upper_nb = np.r_[vals[1:], np.inf]
@@ -315,15 +380,11 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     for i in order:
         a = grid[i - 1] if i > 0 else lower + (upper - lower) * 1e-12
         b = grid[i + 1] if i < resolution - 1 else upper
-        x, f = _golden_min(at, float(a), float(b), xtol)
+        x, f = _golden_min(fun, float(a), float(b), xtol, width)
         if f < best_f or (f == best_f and x < best_x):
             best_x, best_f = x, f
-    # boundary notch: the first representable point past the open lower end
-    notch = np.nextafter(lower, upper)
-    if notch < upper:
-        f = at(notch)
-        if f < best_f or (f == best_f and notch < best_x):
-            best_x, best_f = float(notch), f
+    if probe and (notch_f < best_f or (notch_f == best_f and notch < best_x)):
+        best_x, best_f = float(notch), notch_f
     return best_x, best_f
 
 
@@ -339,9 +400,8 @@ def pp_loss(model, ordered, curve, k, slope, p, lam, p_n=None):
         raise NonPositiveThresholdError("plot regressors need a positive threshold")
     if p_n is None:
         p_n = p_benchmark(curve, ordered)
-    _check_p(p, p_n)
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"lam must be a finite non-negative real, got {lam!r}")
+    _check_level(p, "p", InfeasiblePError, p_n)
+    _check_lam(lam)
     x = np.log(z_top) - math.log(threshold)
     penalty = lam * (p - p_n) ** 2
     t_top, t_thr, keep, thr_ok = _term_masks(model, f_top, f_thr, p)
@@ -380,6 +440,7 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
     p_hat, _ = minimize_on_interval(
         lambda p: profile_levels(p, config.k, terms)[0],
         p_n, 1.0, config.p_grid_resolution, config.refine_tolerance,
+        width=_chunk_rows(config.k),
     )
     loss, slope, skipped = _profile_at(p_hat, config.k, terms)
     return CureFit(float(p_hat), slope, loss, p_n, config.k, p_n, skipped)
@@ -395,8 +456,7 @@ def gof_series(model, ordered, curve, k, p_hat) -> PlotSeries:
     threshold, z_top, f_top, _ = _top_slice(ordered, curve, k)
     if threshold <= 0.0:
         raise NonPositiveThresholdError("plot regressors need a positive threshold")
-    if not (isinstance(p_hat, (int, float)) and math.isfinite(p_hat)) or not (0.0 < p_hat <= 1.0):
-        raise InfeasiblePError(f"p must lie in (0, 1], got {p_hat!r}")
+    _check_level(p_hat, "p", InfeasiblePError)
     t_top = 1.0 - f_top / p_hat
     if model is PlottingModel.PARETO:
         keep = t_top > BOUNDARY_EPS

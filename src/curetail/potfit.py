@@ -25,6 +25,9 @@ from .plotfit import (
     BOUNDARY_EPS,
     FitConfig,
     PlotSeries,
+    _check_lam,
+    _check_level,
+    _chunk_rows,
     _distinct,
     _profile_at,
     minimize_on_interval,
@@ -70,13 +73,6 @@ class PotFit:
     boundary: bool = False
 
 
-def _check_pi(pi: float, lower: float) -> None:
-    if not (isinstance(pi, (int, float)) and math.isfinite(pi)) or not (0.0 < pi <= 1.0):
-        raise InfeasiblePiError(f"pi must lie in (0, 1], got {pi!r}")
-    if pi <= lower and pi != 1.0:
-        raise InfeasiblePiError(f"pi must exceed the feasibility bound {lower}, got {pi}")
-
-
 def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
     """Penalized exceedance loss at explicit scale and conditional level.
 
@@ -90,10 +86,9 @@ def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
         raise ValidationError("exceedance_values must be a non-empty 1-d array")
     if not (isinstance(scale, (int, float)) and math.isfinite(scale) and scale > 0):
         raise ValidationError(f"scale must be a positive real, got {scale!r}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"lam must be a finite non-negative real, got {lam!r}")
+    _check_lam(lam)
     lower = float(exc_curve.cdf_values[-1]) if exc_curve.jump_times.size else 0.0
-    _check_pi(pi, lower)
+    _check_level(pi, "pi", InfeasiblePiError, lower)
     f_k = np.asarray(km_eval(exc_curve, e))
     arg = 1.0 - f_k / pi
     keep = arg > BOUNDARY_EPS
@@ -119,8 +114,8 @@ def _pot_terms(e, f_k, lam, p_n, p_k):
         all_kept = bool(keep.all())
         w = np.log(arg if all_kept else np.where(keep, arg, 1.0))
         if gather is not None:
-            w = w[:, gather]
-            keep = keep[:, gather]
+            w = w.take(gather, axis=1)
+            keep = keep.take(gather, axis=1)
         p = 1.0 - (1.0 - pi) * p_k
         return w, e, None if all_kept else keep, lam * (p - p_n) ** 2
 
@@ -166,6 +161,7 @@ def pot_fit(
     pi_hat, _ = minimize_on_interval(
         lambda pi: profile_levels(pi, config.k, terms)[0],
         pi_lower, 1.0, config.p_grid_resolution, config.refine_tolerance,
+        width=_chunk_rows(config.k),
     )
     loss, slope, skipped = _profile_at(pi_hat, config.k, terms)
     scale = -slope
@@ -187,10 +183,7 @@ def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
     """
     if not isinstance(domain, PotDomain):
         raise ValidationError(f"unknown exceedance domain {domain!r}")
-    if not (isinstance(pi_hat, (int, float)) and math.isfinite(pi_hat)) or not (
-        0.0 < pi_hat <= 1.0
-    ):
-        raise InfeasiblePiError(f"pi must lie in (0, 1], got {pi_hat!r}")
+    _check_level(pi_hat, "pi", InfeasiblePiError)
     if not (isinstance(scale_hat, (int, float)) and math.isfinite(scale_hat) and scale_hat > 0):
         raise ValidationError(f"scale must be a positive real, got {scale_hat!r}")
     exc = exceedances(ordered, k, log_scale=domain is PotDomain.FRECHET)

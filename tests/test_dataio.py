@@ -22,7 +22,8 @@ from curetail import (
     stress_sweep,
     write_dataset,
 )
-from curetail.cli import main
+from curetail import cli
+from curetail.cli import MAX_SIZE, main
 from curetail.dataio import MAX_STRESS_FRACTION, format_sig
 
 
@@ -365,3 +366,21 @@ class TestCli:
     def test_diag_validation_exit_code(self, capsys):
         code = main(["diag", "--gamma-c", "0.5", "--k", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["diag", "--gamma-c", "-0.5", "--k", str(MAX_SIZE + 1)],
+        ["simulate", "--scenario", "2", "--n", str(MAX_SIZE + 1), "--reps", "1", "--p", "0.8",
+         "--estimators", "pn", "--rep-csv", "-"],
+    ])
+    def test_size_cap_exit_code(self, argv, capsys, monkeypatch):
+        # the cap must fire before anything of that size is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("size cap did not fire before the computation")
+
+        monkeypatch.setattr(cli, "sigma2_k", refuse)
+        monkeypatch.setattr(cli, "run_scenario", refuse)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[3]} must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"

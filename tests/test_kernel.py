@@ -3,13 +3,18 @@
 ``profile_levels`` evaluates a whole grid of cure levels in chunks; at
 each level its loss must equal ``pp_loss``/``pot_loss`` evaluated at the
 slope (or scale) it returns, and its skipped count must follow the
-boundary rule written out below from the definitions.
+boundary rule written out below from the definitions.  A level's results
+must not depend on the other levels of its call, bit for bit, because the
+golden-section search evaluates its future points ahead of time in
+batches; that search must take exactly the path of the one-point search.
 """
 import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from curetail import (
     PlottingModel,
@@ -26,8 +31,11 @@ from curetail import (
 from curetail.plotfit import (
     BOUNDARY_EPS,
     PROFILE_CHUNK_ELEMENTS,
+    _chunk_rows,
+    _golden_min,
     _plot_terms,
     _top_slice,
+    minimize_on_interval,
     profile_levels,
 )
 from curetail.potfit import _pot_terms
@@ -118,17 +126,17 @@ class PotCase:
         return self.lam * (1.0 - (1.0 - pi) * self.p_k - self.p_n) ** 2
 
 
-def plot_case(model, k, seed):
+def plot_case(model, k, seed, p=0.8):
     rng = np.random.default_rng(seed)
-    o = order_sample(mixture(rng, max(60, 3 * k), PLOT_TAILS[model]))
+    o = order_sample(mixture(rng, max(60, 3 * k), PLOT_TAILS[model], p))
     return PlotCase(model, o, km_fit(o), k, k / o.n)
 
 
-def pot_case(domain, k, seed):
+def pot_case(domain, k, seed, p=0.8):
     # the search needs a conditional curve that stays below 1; redraw until it does
     rng = np.random.default_rng(seed)
     while True:
-        o = order_sample(mixture(rng, max(60, 3 * k), POT_TAILS[domain]))
+        o = order_sample(mixture(rng, max(60, 3 * k), POT_TAILS[domain], p))
         case = PotCase(domain, o, km_fit(o), k, k / o.n)
         if case.pi_lower < 1.0:
             return case
@@ -225,3 +233,127 @@ def test_threshold_below_first_event():
             else:
                 assert skipped[i] == k and math.isnan(slope[i])
                 assert loss[i] == case.scalar_loss(1.0, p)
+
+
+def batch_levels(rng, lower, curve_values, k):
+    """Two chunks of levels in (lower, 1], then shuffled levels over (0, 1].
+
+    Above the feasibility bound ``lower`` every term is usually kept, so
+    whole chunks take the unmasked path.  Below it levels skip terms, and
+    the curve's own values skip every term, so the later chunks mix kept
+    and skipped rows.
+    """
+    rows = _chunk_rows(k)
+    feasible = lower + (1.0 - lower) * (1.0 - rng.random(2 * rows))
+    edges = [np.nextafter(lower, 1.0), lower, 1.0]
+    spread = np.concatenate([1.0 - rng.random(rows + 7), curve_values[curve_values > 0], edges])
+    return np.concatenate([feasible, rng.permutation(spread)])
+
+
+def assert_same_bits(got, want):
+    assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
+                       np.asarray(want, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("k", (3, 40, 100, 399))
+@pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.3, 0.9))
+def test_kernel_is_batch_invariant(model, k, seed, p):
+    if model in PLOT_TAILS:
+        case = plot_case(model, k, seed, p)
+        lower, curve_values = case.p_n, case.f_top
+    else:
+        case = pot_case(model, k, seed, p)
+        lower, curve_values = case.pi_lower, case.f_k
+    rng = np.random.default_rng(seed)
+    levels = batch_levels(rng, lower, curve_values, k)
+    loss, slope, skipped = case.run(levels)
+    checked = checked_indices(levels.size, k)
+    assert np.any(skipped[checked] == 0) and np.any(skipped[checked] > 0)
+    alone = [case.run(levels[i:i + 1]) for i in checked]
+    assert_same_bits(loss[checked], [r[0][0] for r in alone])
+    assert_same_bits(slope[checked], [r[1][0] for r in alone])
+    assert_array_equal(skipped[checked], [r[2][0] for r in alone])
+
+
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def one_point_golden(f, a, b, xtol):
+    """The golden-section search one point at a time; returns (x, f, points)."""
+    points = []
+
+    def at(v):
+        points.append(v)
+        return float(f(np.array([v]))[0])
+
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = at(c), at(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    for _ in range(200):
+        if b - a <= xtol:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = at(c)
+            if fc < best_f:
+                best_x, best_f = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = at(d)
+            if fd < best_f:
+                best_x, best_f = d, fd
+    return best_x, best_f, points
+
+
+OBJECTIVES = {
+    "bowl": lambda x: (x - 0.3) ** 2,
+    "wavy": lambda x: np.sin(40.0 * x) + x,
+    # plateaus make fc == fd ties
+    "steps": lambda x: np.round(20.0 * (x - 0.37) ** 2, 1),
+    "flat": lambda x: np.zeros_like(x),
+}
+
+
+@pytest.mark.parametrize("a, b, xtol", [(0.0, 1.0, 1e-10), (0.2, 0.2 + 1e-6, 1e-10),
+                                        (0.1, 0.9, 1e-3), (0.0, 1.0, 0.0)])
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+@pytest.mark.parametrize("width", (1, 3, 7, 63))
+def test_speculative_golden_follows_one_point_search(width, name, a, b, xtol):
+    f = OBJECTIVES[name]
+    want_x, want_f, want_points = one_point_golden(f, a, b, xtol)
+    calls = []
+
+    def recording(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    x, fx = _golden_min(recording, a, b, xtol, width)
+    assert (x, fx) == (want_x, want_f)
+    evaluated = set(np.concatenate(calls).tolist())
+    assert evaluated >= set(want_points)
+    # one call for the first pair, then one per tree of up to `width` points
+    depth = (width + 1).bit_length() - 1
+    assert calls[0].tolist() == want_points[:2]
+    assert all(c.size <= width for c in calls[1:])
+    assert len(calls) == 1 + -(-(len(want_points) - 2) // depth)
+
+
+def test_notch_is_evaluated_in_the_grid_call():
+    lower, upper, resolution = 0.25, 1.0, 64
+    notch = np.nextafter(lower, upper)
+    calls = []
+
+    def rising(x):
+        # increasing, so the notch beats every refined basin
+        calls.append(np.array(x))
+        return x - lower
+
+    x, fx = minimize_on_interval(rising, lower, upper, resolution, 1e-10, width=7)
+    assert x == notch and fx == notch - lower
+    assert calls[0].size == resolution + 1 and calls[0][-1] == notch
+    assert all(notch not in c for c in calls[1:])
