@@ -6,10 +6,11 @@ JSON summary plus per-replication CSV), ``stress`` (follow-up stress
 sweep, CSV) and ``diag`` (variance constant of the benchmark, JSON).
 
 Exit codes: 0 on success, 2 for invalid inputs, 3 when the data defeats
-the requested computation.  ``diag --k`` and ``simulate --n`` size arrays
-of that length, so both are capped at ``MAX_SIZE`` (10**7); a larger value
-is an invalid input.  JSON goes to stdout at full float precision;
-CSV tables carry 9 significant digits.
+the requested computation, 1 when stdout is closed before the output is
+written.  ``diag --k``, ``simulate --n`` and ``--grid`` size arrays of
+that length, so all are capped at ``MAX_SIZE`` (10**7); a larger value is
+an invalid input.  JSON goes to stdout at full float precision; CSV
+tables carry 9 significant digits.
 """
 from __future__ import annotations
 
@@ -17,29 +18,18 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 from .asymptotics import CensoringTail, sigma2_k
 from .dataio import format_sig, parse_dataset, stress_sweep
 from .errors import NumericalError, ValidationError
-from .estimators import ESTIMATOR_NAMES
-from .plotfit import FitConfig, gof_series, p_benchmark, pp_fit
-from .potfit import PotDomain, pot_fit, pot_gof_series
+from .estimators import ESTIMATOR_NAMES, MODEL_NAMES, fit_fields, fit_series
+from .plotfit import FitConfig
 from .simulate import SCENARIO_IDS, run_scenario, scenario_spec
 from .survival import km_fit, order_sample, snap_floor
-from .transforms import PlottingModel
 
-_PP = {
-    "pareto": PlottingModel.PARETO,
-    "weibull": PlottingModel.WEIBULL,
-    "lognormal": PlottingModel.LOGNORMAL,
-}
-_POT = {
-    "gumbel-pot": PotDomain.GUMBEL,
-    "frechet-pot": PotDomain.FRECHET,
-}
-
-# Largest diag --k and simulate --n accepted.
+# Largest diag --k, simulate --n and --grid accepted.
 MAX_SIZE = 10**7
 
 
@@ -77,13 +67,17 @@ def _resolve_lam(raw: str, k: int, n: int) -> float:
 
 
 def _json_ready(value):
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_ready(v) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps({k: _json_ready(v) for k, v in payload.items()}) + "\n")
+    sys.stdout.write(json.dumps(_json_ready(payload)) + "\n")
 
 
 @contextlib.contextmanager
@@ -115,75 +109,27 @@ def _load(args):
         raise ValidationError(f"cannot read {args.input}: {exc.strerror}") from None
 
 
+def _config(args, n: int) -> FitConfig:
+    _check_size("--grid", args.grid)
+    k = _resolve_k(args.k, n)
+    lam = _resolve_lam(args.lam, k, n)
+    return FitConfig(k=k, lam=lam, p_grid_resolution=args.grid, refine_tolerance=args.tol)
+
+
 def _prepare(args):
     sample = _load(args)
     ordered = order_sample(sample)
     curve = km_fit(ordered)
-    n = sample.n
-    k = _resolve_k(args.k, n)
-    lam = _resolve_lam(args.lam, k, n)
-    config = FitConfig(
-        k=k,
-        lam=lam,
-        p_grid_resolution=args.grid,
-        refine_tolerance=args.tol,
-    )
-    return ordered, curve, config
+    return ordered, curve, _config(args, sample.n)
 
 
 def _cmd_fit(args) -> int:
-    ordered, curve, config = _prepare(args)
-    n = ordered.n
-    if args.model in _PP:
-        fit = pp_fit(ordered, curve, FitConfig(
-            k=config.k, model=_PP[args.model], lam=config.lam,
-            p_grid_resolution=config.p_grid_resolution,
-            refine_tolerance=config.refine_tolerance,
-        ))
-        _emit_json({
-            "model": args.model,
-            "n": n,
-            "k": fit.k_used,
-            "lambda": config.lam,
-            "p_n": fit.p_n,
-            "p_hat": fit.p_hat,
-            "slope_hat": fit.slope_hat,
-            "loss": fit.loss,
-            "skipped_terms": fit.skipped_terms,
-            "feasible_lower": fit.feasible_lower,
-        })
-    else:
-        fit = pot_fit(ordered, curve, _POT[args.model], config)
-        _emit_json({
-            "model": args.model,
-            "n": n,
-            "k": fit.k_used,
-            "lambda": config.lam,
-            "p_n": p_benchmark(curve, ordered),
-            "p_k": fit.p_k,
-            "pi_hat": fit.pi_hat,
-            "scale_hat": fit.scale_hat,
-            "p_hat": fit.p_hat,
-            "loss": fit.loss,
-            "clipped": fit.clipped,
-        })
+    _emit_json(fit_fields(args.model, *_prepare(args)))
     return 0
 
 
 def _cmd_gof(args) -> int:
-    ordered, curve, config = _prepare(args)
-    if args.model in _PP:
-        fit = pp_fit(ordered, curve, FitConfig(
-            k=config.k, model=_PP[args.model], lam=config.lam,
-            p_grid_resolution=config.p_grid_resolution,
-            refine_tolerance=config.refine_tolerance,
-        ))
-        series = gof_series(_PP[args.model], ordered, curve, config.k, fit.p_hat)
-    else:
-        fit = pot_fit(ordered, curve, _POT[args.model], config)
-        series = pot_gof_series(
-            ordered, curve, _POT[args.model], config.k, fit.pi_hat, fit.scale_hat
-        )
+    series = fit_series(args.model, *_prepare(args))
     with _csv_sink(args.output) as sink:
         _write_csv(
             sink,
@@ -199,7 +145,7 @@ def _cmd_simulate(args) -> int:
     spec = scenario_spec(args.scenario, args.n, args.reps, args.p, args.seed)
     summaries = run_scenario(spec, estimators)
     k = spec.resolve_k()
-    _emit_json_raw = {
+    payload = {
         "scenario": spec.scenario_id,
         "n": spec.n,
         "reps": spec.reps,
@@ -212,7 +158,7 @@ def _cmd_simulate(args) -> int:
                 "label": s.label,
                 "n_success": int(s.estimates.size),
                 "failures": s.failures,
-                **{key: _json_ready(val) for key, val in s.summary.items()},
+                **s.summary,
             }
             for s in summaries
         ],
@@ -225,17 +171,14 @@ def _cmd_simulate(args) -> int:
 
     # opened first, so an unwritable path fails before any JSON is printed
     with _csv_sink(args.rep_csv) as sink:
-        sys.stdout.write(json.dumps(_emit_json_raw) + "\n")
+        _emit_json(payload)
         _write_csv(sink, ["rep", "estimator", "p_hat", "sq_error", "bias"], rep_rows())
     return 0
 
 
 def _cmd_stress(args) -> int:
     sample = _load(args)
-    n = sample.n
-    k = _resolve_k(args.k, n)
-    lam = _resolve_lam(args.lam, k, n)
-    config = FitConfig(k=k, lam=lam, p_grid_resolution=args.grid, refine_tolerance=args.tol)
+    config = _config(args, sample.n)
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     except ValueError:
@@ -257,15 +200,15 @@ def _cmd_diag(args) -> int:
     return 0
 
 
-def _add_data_flags(sub, with_model=True):
+def _add_data_flags(sub, model=None, k=None):
     sub.add_argument("--input", required=True, help="dataset CSV path, or - for stdin")
-    if with_model:
-        sub.add_argument("--model", required=True, choices=sorted((*_PP, *_POT)))
-    sub.add_argument("--k", required=True, dest="k",
+    sub.add_argument("--model", required=model is None, default=model,
+                     choices=sorted(MODEL_NAMES))
+    sub.add_argument("--k", required=k is None, default=k, dest="k",
                      help="tail size: an integer, or a fraction of n in (0, 1)")
     sub.add_argument("--lambda", default="kn", dest="lam",
                      help="penalty weight, or 'kn' for k/n (default)")
-    sub.add_argument("--grid", type=int, default=512, help="grid resolution for the 1-d search")
+    sub.add_argument("--grid", type=int, default=512, help=f"search grid size (at most {MAX_SIZE})")
     sub.add_argument("--tol", type=float, default=1e-10, help="refinement interval tolerance")
 
 
@@ -299,14 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     stress = commands.add_parser("stress", help="follow-up stress sweep, print CSV")
-    stress.add_argument("--input", required=True, help="dataset CSV path, or - for stdin")
-    stress.add_argument("--model", default="gumbel-pot", choices=sorted((*_PP, *_POT)))
-    stress.add_argument("--k", default="0.5", dest="k",
-                        help="tail size: integer or fraction of n (default 0.5)")
-    stress.add_argument("--lambda", default="kn", dest="lam",
-                        help="penalty weight, or 'kn' for k/n (default)")
-    stress.add_argument("--grid", type=int, default=512)
-    stress.add_argument("--tol", type=float, default=1e-10)
+    _add_data_flags(stress, model="gumbel-pot", k="0.5")
     stress.add_argument("--fractions",
                         default="0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45",
                         help="comma-separated stress fractions")
@@ -335,7 +271,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone; devnull takes the rest, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CuretailError, ValidationError
-from .estimators import ESTIMATOR_NAMES, fit_estimate
+from .estimators import check_name, fit_estimate
 from .plotfit import FitConfig
 from .survival import SurvivalSample, km_fit, order_sample
 from .transforms import norm_quantile
@@ -260,8 +260,7 @@ def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSumm
     """
     names = list(dict.fromkeys(estimators))
     for name in names:
-        if name not in ESTIMATOR_NAMES:
-            raise ValidationError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
+        check_name(name)
     if "pn" not in names:
         names.append("pn")
     names = tuple(names)

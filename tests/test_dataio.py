@@ -1,6 +1,9 @@
 """Dataset CSV handling, the stress sweep and the command-line surface."""
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -384,3 +387,128 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {argv[3]} must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"
+
+    # --- the README's command-line examples, pinned byte for byte -------------
+
+    @pytest.fixture(scope="class")
+    def demo_csv(self, tmp_path_factory):
+        # the README's library snippet, written as its demo.csv
+        rng = np.random.default_rng(7)
+        n = 400
+        life = np.where(rng.random(n) < 0.8, rng.weibull(0.9, n) * 1.5, np.inf)
+        cen = rng.uniform(0.0, 6.0, n)
+        sample = SurvivalSample(np.minimum(life, cen), (life <= cen).astype(int))
+        path = tmp_path_factory.mktemp("readme") / "demo.csv"
+        write_dataset(sample, str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["fit", "--model", "gumbel-pot", "--k", "0.5"],
+         '{"model": "gumbel-pot", "n": 400, "k": 200, "lambda": 0.5, '
+         '"p_n": 0.7835656932666342, "p_k": 0.615013508002314, '
+         '"pi_hat": 0.7055044318600823, "scale_hat": 1.8200347467726705, '
+         '"p_hat": 0.8188812475471348, "loss": 2.6858322712767366, "clipped": false}\n'),
+        (["fit", "--model", "weibull", "--k", "120", "--lambda", "0.25"],
+         '{"model": "weibull", "n": 400, "k": 120, "lambda": 0.25, '
+         '"p_n": 0.7835656932666342, "p_hat": 0.9245852394890266, '
+         '"slope_hat": 0.6692137163782624, "loss": 0.11047705726422055, '
+         '"skipped_terms": 0, "feasible_lower": 0.7835656932666342}\n'),
+        (["stress", "--k", "0.4", "--fractions", "0,0.1,0.2"],
+         "fraction,p_hat,p_n\n"
+         "0,0.81922604,0.783565693\n"
+         "0.1,0.720667234,0.720667234\n"
+         "0.2,0.628096302,0.628096302\n"),
+        (["gof", "--model", "gumbel-pot", "--k", "0.5"],
+         "x,y\n0.00193904815,-0\n0.011320128,0.0130100256\n"),
+    ])
+    def test_readme_dataset_examples(self, demo_csv, capsys, argv, expected):
+        code = main([argv[0], "--input", demo_csv, *argv[1:]])
+        out = capsys.readouterr().out
+        assert code == 0
+        if argv[0] == "gof":
+            # the README shows the first three lines only
+            out = "".join(out.splitlines(keepends=True)[:3])
+        assert out == expected
+
+    def test_readme_diag_example(self, capsys):
+        assert main(["diag", "--gamma-c", "-1", "--k", "100"]) == 0
+        assert capsys.readouterr().out == (
+            '{"gamma_c": -1.0, "k": 100, "sigma2_k": 0.22641010998412175}\n'
+        )
+
+    def test_readme_simulate_example(self, tmp_path, capsys):
+        rep_csv = tmp_path / "reps.csv"
+        code = main([
+            "simulate", "--scenario", "2", "--n", "200", "--reps", "50", "--p", "0.9",
+            "--seed", "1", "--estimators", "gumbel-pot", "--rep-csv", str(rep_csv),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            '{"scenario": 2, "n": 200, "reps": 50, "p": 0.9, "seed": 1, "k": 199, '
+            '"lambda": 0.995, "estimators": [{"label": "gumbel-pot", "n_success": 50, '
+            '"failures": 0, "mean": 0.8945957472966671, "median": 0.8882838496368062, '
+            '"q25": 0.8574736509991843, "q75": 0.9401365799457161, '
+            '"rmse": 0.059507092461336716}, {"label": "pn", "n_success": 50, '
+            '"failures": 0, "mean": 0.8454521730656517, "median": 0.8526899928508218, '
+            '"q25": 0.8068613809186729, "q75": 0.8796754812198433, '
+            '"rmse": 0.07367289564447156}]}\n'
+        )
+        lines = rep_csv.read_text().splitlines(keepends=True)
+        assert lines[:2] == [
+            "rep,estimator,p_hat,sq_error,bias\n",
+            "0,gumbel-pot,0.886438128,0.000183924378,-0.0135618722\n",
+        ]
+        assert len(lines) == 101
+
+    @pytest.mark.parametrize("model, keys", [
+        ("pareto", "p_n p_hat slope_hat loss skipped_terms feasible_lower"),
+        ("weibull", "p_n p_hat slope_hat loss skipped_terms feasible_lower"),
+        ("lognormal", "p_n p_hat slope_hat loss skipped_terms feasible_lower"),
+        ("gumbel-pot", "p_n p_k pi_hat scale_hat p_hat loss clipped"),
+        ("frechet-pot", "p_n p_k pi_hat scale_hat p_hat loss clipped"),
+    ])
+    def test_fit_key_order(self, demo_csv, capsys, model, keys):
+        payload = self.fit_json(
+            capsys, ["fit", "--input", demo_csv, "--model", model, "--k", "0.3"]
+        )
+        assert list(payload) == ["model", "n", "k", "lambda", *keys.split()]
+
+    @pytest.mark.parametrize("grid", [MAX_SIZE + 1, 10**20])
+    @pytest.mark.parametrize("verb", ["fit", "gof", "stress"])
+    def test_grid_cap_exit_code(self, demo_csv, capsys, monkeypatch, verb, grid):
+        # the cap must fire before a grid of that size is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid cap did not fire before the fit")
+
+        for name in ("fit_fields", "fit_series", "stress_sweep"):
+            monkeypatch.setattr(cli, name, refuse)
+        code = main([
+            verb, "--input", demo_csv, "--model", "pareto", "--k", "0.5", "--grid", str(grid),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --grid must be at most {MAX_SIZE}, got {grid}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["diag", "--gamma-c", "-1", "--k", "100"],
+        # more than one stdout buffer, so the write itself fails, not the last flush
+        ["gof", "--model", "weibull", "--k", "399", "--input"],
+    ])
+    def test_closed_stdout_exits_quietly(self, demo_csv, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        if argv[0] == "gof":
+            argv = [*argv, demo_csv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "curetail.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
