@@ -54,16 +54,13 @@ def _resolve_k(raw: str, n: int) -> int:
 
 
 def _resolve_lam(raw: str, k: int, n: int) -> float:
-    """Accept an explicit non-negative real or the rule name 'kn' (= k/n)."""
+    """Parse a real or the rule name 'kn' (= k/n); ``FitConfig`` checks the range."""
     if raw == "kn":
         return k / n
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ValidationError(f"--lambda must be a real or 'kn', got {raw!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise ValidationError(f"--lambda must be non-negative and finite, got {raw!r}")
-    return value
 
 
 def _json_ready(value):

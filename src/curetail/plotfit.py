@@ -149,39 +149,41 @@ def _check_level(value, label: str, error, lower: float = 0.0) -> None:
         raise error(f"{label} must exceed the feasibility bound {lower}, got {value}")
 
 
-def _term_masks(model: PlottingModel, f_top: np.ndarray, f_thr: float, p):
-    """Retained-term mask and threshold admissibility at cure level p.
+def _term_masks(model: PlottingModel, t_top: np.ndarray, t_thr: np.ndarray):
+    """Retained-term mask and threshold admissibility.
 
-    ``p`` is a scalar or a column of levels that broadcasts against
-    ``f_top``.  The Pareto transform stays finite as its argument reaches
-    1 (value 0), so only the lower boundary is guarded there; the other
-    two transforms diverge at both ends.  An inadmissible threshold drops
-    every term of its level.
+    ``t_top = 1 - F/p`` holds the transform arguments of the top terms and
+    ``t_thr`` that of the threshold, a numpy scalar or a column of levels
+    that broadcasts against ``t_top``.  The Pareto transform stays finite
+    as its argument reaches 1 (value 0), so only the lower boundary is
+    guarded there; the other two transforms diverge at both ends.  An
+    inadmissible threshold drops every term of its level.
     """
-    t_top = 1.0 - f_top / p
-    t_thr = 1.0 - f_thr / p
     pareto = model is PlottingModel.PARETO
     thr_ok = t_thr > BOUNDARY_EPS
     if not pareto:
-        thr_ok = thr_ok & (t_thr < 1.0 - BOUNDARY_EPS)
-    if not np.any(thr_ok):
-        return t_top, t_thr, np.zeros(np.shape(t_top), dtype=bool), thr_ok
+        thr_ok &= t_thr < 1.0 - BOUNDARY_EPS
+    if not thr_ok.any():
+        return np.zeros(t_top.shape, dtype=bool), thr_ok
     keep = t_top > BOUNDARY_EPS
     if not pareto:
         keep &= t_top < 1.0 - BOUNDARY_EPS
-    if not np.all(thr_ok):
+    if not thr_ok.all():
         keep &= thr_ok
-    return t_top, t_thr, keep, thr_ok
+    return keep, thr_ok
 
 
-def _distinct(values: np.ndarray):
+def _distinct(values: np.ndarray, costly: bool = False):
     """Distinct values and the index that gathers ``values`` back from them.
 
-    Returns ``(values, None)`` when gathering would save less than half
-    of the elements.
+    Returns ``(values, None)`` when gathering would save nothing or,
+    unless the transform to run on the values is ``costly``, less than
+    half of the elements.  The normal quantile costs about 30 gathers per
+    element, so it pays to skip any repeated value; for the logarithms a
+    gather costs nearly what it saves.
     """
     uniq, inverse = np.unique(values, return_inverse=True)
-    if 2 * uniq.size > values.size:
+    if uniq.size == values.size or (not costly and 2 * uniq.size > values.size):
         return values, None
     return uniq, inverse
 
@@ -250,32 +252,65 @@ def _profile_at(level: float, k: int, terms):
     return float(loss[0]), float(slope[0]), int(skipped[0])
 
 
+def _recorded_profile(k: int, terms):
+    """Search objective over ``profile_levels`` that keeps every call's results.
+
+    Returns ``(fun, at)``: ``fun`` maps an array of levels to their losses,
+    and ``at(level)`` gives the loss, slope and skipped count of a level
+    ``fun`` has evaluated, as ``_profile_at`` would, bit for bit, since a
+    level's results do not depend on its batch.
+    """
+    calls = []
+
+    def fun(levels):
+        result = profile_levels(levels, k, terms)
+        calls.append((levels, result))
+        return result[0]
+
+    def at(level: float):
+        for levels, (loss, slope, skipped) in calls:
+            hit = np.flatnonzero(levels == level)
+            if hit.size:
+                i = hit[0]
+                return float(loss[i]), float(slope[i]), int(skipped[i])
+        raise KeyError(level)
+
+    return fun, at
+
+
 def _plot_terms(model, f_top, f_thr, x, lam, p_n):
     """Plot-fit rows for ``profile_levels``: y = s(1 - F/p) - s_thr against x.
 
     The transform runs once per distinct curve value, with the threshold
     as one more column; the curve is constant between event times.
     """
-    f_dist, gather = _distinct(f_top)
+    f_dist, gather = _distinct(f_top, costly=model is PlottingModel.LOGNORMAL)
+    f_cols = np.append(f_dist, f_thr)
 
     def terms(p):
         penalty = lam * (p - p_n) ** 2
-        t, t_thr, keep, thr_ok = _term_masks(model, f_dist, f_thr, p[:, None])
-        if not keep.any():
+        # one buffer of transform arguments, the threshold in the last column
+        args = f_cols / p[:, None]
+        np.subtract(1.0, args, out=args)
+        t, t_thr = args[:, :-1], args[:, -1:]
+        keep, thr_ok = _term_masks(model, t, t_thr)
+        if keep.all():
+            keep = None
+        elif not keep.any():
             # e.g. Weibull and log-normal at F(threshold) = 0
             return x, None, keep, penalty
-        all_kept = bool(keep.all())
-        args = np.concatenate([t, t_thr], axis=1)
-        if not all_kept:
-            args = np.where(np.concatenate([keep, thr_ok], axis=1), args, 0.5)
+        else:
+            np.copyto(t, 0.5, where=~keep)
+            np.copyto(t_thr, 0.5, where=~thr_ok)
         # at t_thr == 1 (F(threshold) = 0) only Pareto keeps terms, and -log 1 = 0
         s = _s_values(model, args)
         y = s[:, :-1] - s[:, -1:]
         if gather is not None:
             # take() keeps rows C-contiguous; y[:, gather] would not
             y = y.take(gather, axis=1)
-            keep = keep.take(gather, axis=1)
-        return x, y, None if all_kept else keep, penalty
+            if keep is not None:
+                keep = keep.take(gather, axis=1)
+        return x, y, keep, penalty
 
     return terms
 
@@ -404,8 +439,10 @@ def pp_loss(model, ordered, curve, k, slope, p, lam, p_n=None):
     _check_lam(lam)
     x = np.log(z_top) - math.log(threshold)
     penalty = lam * (p - p_n) ** 2
-    t_top, t_thr, keep, thr_ok = _term_masks(model, f_top, f_thr, p)
-    if not np.any(keep):
+    t_top = 1.0 - f_top / p
+    t_thr = np.float64(1.0 - f_thr / p)
+    keep, _ = _term_masks(model, t_top, t_thr)
+    if not keep.any():
         return penalty
     s_thr = float(_s_values(model, np.asarray([t_thr]))[0]) if t_thr < 1.0 else 0.0
     y = _s_values(model, t_top[keep]) - s_thr
@@ -437,12 +474,12 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
         loss, slope, skipped = _profile_at(1.0, config.k, terms)
         return CureFit(1.0, slope, loss, p_n, config.k, p_n, skipped, boundary=True)
 
+    fun, evaluated = _recorded_profile(config.k, terms)
     p_hat, _ = minimize_on_interval(
-        lambda p: profile_levels(p, config.k, terms)[0],
-        p_n, 1.0, config.p_grid_resolution, config.refine_tolerance,
+        fun, p_n, 1.0, config.p_grid_resolution, config.refine_tolerance,
         width=_chunk_rows(config.k),
     )
-    loss, slope, skipped = _profile_at(p_hat, config.k, terms)
+    loss, slope, skipped = evaluated(p_hat)
     return CureFit(float(p_hat), slope, loss, p_n, config.k, p_n, skipped)
 
 

@@ -30,9 +30,9 @@ from .plotfit import (
     _chunk_rows,
     _distinct,
     _profile_at,
+    _recorded_profile,
     minimize_on_interval,
     p_benchmark,
-    profile_levels,
 )
 from .survival import (
     KaplanMeierCurve,
@@ -158,12 +158,12 @@ def pot_fit(
         scale = -slope if slope != 0.0 else math.nan
         return PotFit(scale, 1.0, 1.0, p_k, loss, config.k, False, skipped, boundary=True)
 
+    fun, evaluated = _recorded_profile(config.k, terms)
     pi_hat, _ = minimize_on_interval(
-        lambda pi: profile_levels(pi, config.k, terms)[0],
-        pi_lower, 1.0, config.p_grid_resolution, config.refine_tolerance,
+        fun, pi_lower, 1.0, config.p_grid_resolution, config.refine_tolerance,
         width=_chunk_rows(config.k),
     )
-    loss, slope, skipped = _profile_at(pi_hat, config.k, terms)
+    loss, slope, skipped = evaluated(pi_hat)
     scale = -slope
     if not (math.isfinite(scale) and scale > 0.0):
         raise DegenerateExceedancesError(

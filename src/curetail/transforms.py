@@ -87,15 +87,19 @@ _F = (
 
 
 def _ratpoly(coef_num, coef_den, r):
-    num = np.full_like(r, coef_num[-1])
-    for c in coef_num[-2::-1]:
+    """num(r) / den(r) by Horner's rule, each on one fresh buffer."""
+    num = r * coef_num[-1]
+    num += coef_num[-2]
+    for c in coef_num[-3::-1]:
         num *= r
         num += c
-    den = np.full_like(r, coef_den[-1])
-    for c in coef_den[-2::-1]:
+    den = r * coef_den[-1]
+    den += coef_den[-2]
+    for c in coef_den[-3::-1]:
         den *= r
         den += c
-    return num / den
+    num /= den
+    return num
 
 
 def norm_quantile(u):
@@ -115,27 +119,34 @@ def norm_quantile(u):
 
 
 def _norm_quantile(arr: np.ndarray) -> np.ndarray:
-    """Unchecked core of ``norm_quantile``: callers keep ``arr`` inside (0, 1)."""
+    """Unchecked core of ``norm_quantile``: callers keep ``arr`` inside (0, 1).
+
+    The central rational runs on every element, in place, and only the
+    tail elements (|u - 0.5| > 0.425, about 15 % of a plot fit's
+    arguments) are gathered, evaluated in the one tail branch each needs
+    and put back.  Evaluating the central branch everywhere is safe on
+    (0, 1): for |u - 0.5| <= 0.5 its denominator stays above 0.002.
+    Tails are indexed in C order with ``take``/``put``, which follow the
+    flat index whatever the memory layout of ``arr``.
+    """
+    if arr.ndim == 0:
+        return _norm_quantile(arr.reshape(1)).reshape(())
     q = arr - 0.5
-    out = np.empty_like(arr)
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    out = _ratpoly(_A, _B, r)
+    out *= q
 
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        qc = q[central]
-        r = 0.180625 - qc * qc
-        out[central] = qc * _ratpoly(_A, _B, r)
-
-    tails = ~central
-    if np.any(tails):
-        at = arr[tails]
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    if tails.size:
+        at = arr.take(tails)
         r = np.sqrt(-np.log(np.minimum(at, 1.0 - at)))
-        near = r <= 5.0
-        x = np.empty_like(r)
-        x[near] = _ratpoly(_C, _D, r[near] - 1.6)
-        far = ~near
-        if np.any(far):
+        x = _ratpoly(_C, _D, r - 1.6)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
             x[far] = _ratpoly(_E, _F, r[far] - 5.0)
-        out[tails] = np.where(q[tails] < 0.0, -x, x)
+        np.negative(x, out=x, where=q.take(tails) < 0.0)
+        out.put(tails, x)
     return out
 
 

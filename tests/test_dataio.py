@@ -345,6 +345,18 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf", "1e400"])
+    def test_out_of_range_lambda_exit_code(self, tmp_path, capsys, lam):
+        path = tmp_path / "d.csv"
+        make_dataset(path, n=40)
+        code = main(["fit", "--input", str(path), "--model", "pareto", "--k", "20",
+                     f"--lambda={lam}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: lam must be a finite non-negative real, got ")
+        assert captured.err.count("\n") == 1
+
     def test_missing_input_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         code = main(["fit", "--input", str(missing), "--model", "pareto", "--k", "20"])

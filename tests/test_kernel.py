@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from curetail import (
+    FitConfig,
     PlottingModel,
     PotDomain,
     SurvivalSample,
@@ -25,13 +26,16 @@ from curetail import (
     km_fit,
     order_sample,
     p_benchmark,
+    pot_fit,
     pot_loss,
+    pp_fit,
     pp_loss,
 )
 from curetail.plotfit import (
     BOUNDARY_EPS,
     PROFILE_CHUNK_ELEMENTS,
     _chunk_rows,
+    _distinct,
     _golden_min,
     _plot_terms,
     _top_slice,
@@ -107,6 +111,7 @@ class PlotCase:
 
 class PotCase:
     def __init__(self, domain, ordered, curve, k, lam):
+        self.ordered, self.curve = ordered, curve
         exc = exceedances(ordered, k, log_scale=domain is PotDomain.FRECHET)
         self.e = exc.times
         self.exc_curve = km_fit(exc)
@@ -126,17 +131,17 @@ class PotCase:
         return self.lam * (1.0 - (1.0 - pi) * self.p_k - self.p_n) ** 2
 
 
-def plot_case(model, k, seed, p=0.8):
+def plot_case(model, k, seed, p=0.8, n=None):
     rng = np.random.default_rng(seed)
-    o = order_sample(mixture(rng, max(60, 3 * k), PLOT_TAILS[model], p))
+    o = order_sample(mixture(rng, n or max(60, 3 * k), PLOT_TAILS[model], p))
     return PlotCase(model, o, km_fit(o), k, k / o.n)
 
 
-def pot_case(domain, k, seed, p=0.8):
+def pot_case(domain, k, seed, p=0.8, n=None):
     # the search needs a conditional curve that stays below 1; redraw until it does
     rng = np.random.default_rng(seed)
     while True:
-        o = order_sample(mixture(rng, max(60, 3 * k), POT_TAILS[domain], p))
+        o = order_sample(mixture(rng, n or max(60, 3 * k), POT_TAILS[domain], p))
         case = PotCase(domain, o, km_fit(o), k, k / o.n)
         if case.pi_lower < 1.0:
             return case
@@ -233,6 +238,37 @@ def test_threshold_below_first_event():
             else:
                 assert skipped[i] == k and math.isnan(slope[i])
                 assert loss[i] == case.scalar_loss(1.0, p)
+
+
+@pytest.mark.parametrize("n, k", [(200, 40), (200, 199)])
+@pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
+def test_fit_fields_equal_a_fresh_profile_at_the_estimate(model, n, k):
+    # the fits read loss, slope and skipped count back from the search's
+    # own kernel calls instead of evaluating the estimate once more
+    if model in PLOT_TAILS:
+        case = plot_case(model, k, seed=3000 + k, n=n)
+        fit = pp_fit(case.ordered, case.curve, FitConfig(k=k, model=model))
+        level, slope = fit.p_hat, fit.slope_hat
+    else:
+        case = pot_case(model, k, seed=4000 + k, n=n)
+        fit = pot_fit(case.ordered, case.curve, model, FitConfig(k=k))
+        level, slope = fit.pi_hat, -fit.scale_hat
+    assert not fit.boundary
+    loss, want_slope, skipped = case.run([level])
+    assert_same_bits([fit.loss, slope], [loss[0], want_slope[0]])
+    assert fit.skipped_terms == skipped[0]
+
+
+def test_distinct_rule_follows_transform_cost():
+    few = np.repeat([0.1, 0.2, 0.3], 2)  # half the elements repeat
+    most = np.array([0.1, 0.1, 0.2, 0.3, 0.4])  # one element in five repeats
+    unique = np.array([0.1, 0.2, 0.3])
+    for values, costly, gathered in [(few, False, True), (few, True, True),
+                                     (most, False, False), (most, True, True),
+                                     (unique, False, False), (unique, True, False)]:
+        dist, gather = _distinct(values, costly)
+        assert (gather is not None) == gathered
+        assert_array_equal(dist if gather is None else dist[gather], values)
 
 
 def batch_levels(rng, lower, curve_values, k):

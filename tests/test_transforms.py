@@ -133,3 +133,21 @@ class TestNormQuantile:
         assert np.array_equal(_norm_quantile(u), reference_norm_quantile(u))
         grid = u[:9999].reshape(-1, 3)
         assert np.array_equal(_norm_quantile(grid), reference_norm_quantile(grid))
+
+    @pytest.mark.parametrize("layout", ["0-d", "fortran", "strided"])
+    def test_core_is_bit_identical_in_any_layout(self, layout):
+        # the tails are put back by flat index, which must follow C order
+        # whatever the memory layout of the input
+        rng = np.random.default_rng(5)
+        u = np.concatenate([rng.random(3000), np.exp(-rng.uniform(0.0, 690.0, 3000))])
+        rng.shuffle(u)
+        if layout == "0-d":
+            cases = [np.array(v) for v in (0.5, 0.075, 0.925, 0.01, 1e-300, u[0])]
+        elif layout == "fortran":
+            cases = [np.asfortranarray(u.reshape(60, 100))]
+        else:
+            cases = [u[::3], u.reshape(60, 100)[1::2, ::3]]
+        for arr in cases:
+            got = _norm_quantile(arr)
+            assert got.shape == arr.shape
+            assert np.array_equal(got, reference_norm_quantile(arr))
