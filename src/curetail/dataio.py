@@ -46,6 +46,9 @@ def _parse_rows(reader) -> SurvivalSample:
         header = next(reader)
     except StopIteration:
         raise DatasetFormatError("empty file: expected header 'time,status'") from None
+    if header:
+        # spreadsheet "CSV UTF-8" exports start with a byte order mark
+        header[0] = header[0].removeprefix("\ufeff")
     if [h.strip() for h in header] != ["time", "status"]:
         raise DatasetFormatError(
             f"line 1: expected header 'time,status', got {','.join(header)!r}"
@@ -84,8 +87,11 @@ def _parse_rows(reader) -> SurvivalSample:
 def parse_dataset(source) -> SurvivalSample:
     """Read a ``time,status`` CSV from a path or an open text stream."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="") as fh:
-            return _parse_rows(csv.reader(fh))
+        with open(source, newline="", encoding="utf-8") as fh:
+            try:
+                return _parse_rows(csv.reader(fh))
+            except UnicodeDecodeError:
+                raise DatasetFormatError("dataset is not UTF-8 text") from None
     return _parse_rows(csv.reader(source))
 
 

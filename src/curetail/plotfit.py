@@ -41,10 +41,19 @@ BOUNDARY_EPS = 1e-15
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Most (level, term) elements one profile_levels chunk holds.  Larger
-# chunks raise peak memory; smaller ones pay numpy's per-call overhead
-# more often.
+# Most (level, term) elements one profile_levels chunk holds, unless four
+# levels need more.  Larger chunks raise peak memory; smaller ones pay the
+# kernel's fixed per-chunk cost more often.  That cost is about 30-60 us
+# for Pareto and Weibull rows (Intel Xeon, numpy 2.4): one level of 100
+# terms costs about as much as two.  At k = 3999 a chunk of two levels
+# took 96-126 us and one of four 127-175 us, so the four-level floor
+# halves a large-k grid's chunks for about a third more time per chunk.
 PROFILE_CHUNK_ELEMENTS = 8192
+
+# Most (level, term) elements one speculative golden-section call
+# evaluates.  Kept apart from PROFILE_CHUNK_ELEMENTS, so that a change to
+# the chunk size leaves every refinement call as it is.
+_GOLDEN_CALL_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -149,25 +158,31 @@ def _check_level(value, label: str, error, lower: float = 0.0) -> None:
         raise error(f"{label} must exceed the feasibility bound {lower}, got {value}")
 
 
+def _admissible(model: PlottingModel, t: np.ndarray) -> np.ndarray:
+    """Where the transform arguments ``t = 1 - F/p`` stay clear of the boundary.
+
+    The Pareto transform stays finite as its argument reaches 1 (value
+    0), so only the lower boundary is guarded there; the other two
+    transforms diverge at both ends.
+    """
+    ok = t > BOUNDARY_EPS
+    if model is not PlottingModel.PARETO:
+        ok &= t < 1.0 - BOUNDARY_EPS
+    return ok
+
+
 def _term_masks(model: PlottingModel, t_top: np.ndarray, t_thr: np.ndarray):
     """Retained-term mask and threshold admissibility.
 
     ``t_top = 1 - F/p`` holds the transform arguments of the top terms and
     ``t_thr`` that of the threshold, a numpy scalar or a column of levels
-    that broadcasts against ``t_top``.  The Pareto transform stays finite
-    as its argument reaches 1 (value 0), so only the lower boundary is
-    guarded there; the other two transforms diverge at both ends.  An
-    inadmissible threshold drops every term of its level.
+    that broadcasts against ``t_top``.  An inadmissible threshold drops
+    every term of its level.
     """
-    pareto = model is PlottingModel.PARETO
-    thr_ok = t_thr > BOUNDARY_EPS
-    if not pareto:
-        thr_ok &= t_thr < 1.0 - BOUNDARY_EPS
+    thr_ok = _admissible(model, t_thr)
     if not thr_ok.any():
         return np.zeros(t_top.shape, dtype=bool), thr_ok
-    keep = t_top > BOUNDARY_EPS
-    if not pareto:
-        keep &= t_top < 1.0 - BOUNDARY_EPS
+    keep = _admissible(model, t_top)
     if not thr_ok.all():
         keep &= thr_ok
     return keep, thr_ok
@@ -200,7 +215,17 @@ def _rowdot(a: np.ndarray, b: np.ndarray):
 
 def _chunk_rows(k: int) -> int:
     """Levels of ``k`` terms each that one ``profile_levels`` chunk holds."""
-    return max(1, PROFILE_CHUNK_ELEMENTS // k)
+    return max(4, PROFILE_CHUNK_ELEMENTS // k)
+
+
+def _golden_width(k: int) -> int:
+    """Most levels of ``k`` terms one speculative golden-section call evaluates.
+
+    Its budget is ``_GOLDEN_CALL_ELEMENTS``, not the chunk size, so the
+    four-level floor of ``_chunk_rows`` leaves the refinement at one level
+    per call at large k.
+    """
+    return max(1, _GOLDEN_CALL_ELEMENTS // k)
 
 
 def profile_levels(levels, k: int, terms):
@@ -215,7 +240,8 @@ def profile_levels(levels, k: int, terms):
     when no level of the chunk keeps a term.  A level that keeps
     no term scores its penalty alone with a NaN slope; a retained
     regressor of zero norm gets slope 0.  Levels are evaluated in chunks of
-    at most ``PROFILE_CHUNK_ELEMENTS`` terms.
+    ``_chunk_rows(k)`` levels: at most ``PROFILE_CHUNK_ELEMENTS`` terms,
+    or four levels when k is too large for that.
 
     A level's results do not depend on the other levels of the call, bit
     for bit, provided ``terms`` builds each row from its level alone (in
@@ -355,7 +381,10 @@ def _golden_min(fun, a: float, b: float, xtol: float, width: int = 1):
     the steps are then replayed against those values exactly as a
     one-point-per-call search takes them: same points, same ``fc <= fd``
     tie rule, same 200-step cap.  A replayed point missing from its batch
-    raises ``KeyError``.  ``width=1`` is the plain sequential search.
+    raises ``KeyError``.  ``width=1`` is the plain sequential search.  A
+    wider call saves calls but evaluates points on branches the search
+    does not take: a tree of ``2**depth - 1`` points serves ``depth``
+    steps.
     """
     depth = max(1, (width + 1).bit_length() - 1)
     c = b - _INVPHI * (b - a)
@@ -396,9 +425,13 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     notch, the first representable point past the open lower end.
     Refines around every local minimum of the grid profile (up to the three
     deepest) with ``_golden_min``, whose calls hold at most ``width``
-    points after the first pair of each basin; pass the number of points
-    ``fun`` evaluates as cheaply as one.  The notch wins when it beats
-    every refined basin.  Ties resolve to the smallest argument.
+    points after the first pair of each basin.  The width trades the
+    fixed cost of a call to ``fun`` against the points a wider call
+    evaluates in vain: ``depth`` steps take one call of ``2**depth - 1``
+    points instead of ``depth`` calls of one, and pay off while one such
+    call costs less than ``depth`` single-point calls.  The notch wins
+    when it beats every refined basin.  Ties resolve to the smallest
+    argument.
     """
     grid = lower + (upper - lower) * np.arange(1, resolution + 1) / resolution
     notch = np.nextafter(lower, upper)
@@ -477,7 +510,7 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
     fun, evaluated = _recorded_profile(config.k, terms)
     p_hat, _ = minimize_on_interval(
         fun, p_n, 1.0, config.p_grid_resolution, config.refine_tolerance,
-        width=_chunk_rows(config.k),
+        width=_golden_width(config.k),
     )
     loss, slope, skipped = evaluated(p_hat)
     return CureFit(float(p_hat), slope, loss, p_n, config.k, p_n, skipped)
@@ -495,10 +528,7 @@ def gof_series(model, ordered, curve, k, p_hat) -> PlotSeries:
         raise NonPositiveThresholdError("plot regressors need a positive threshold")
     _check_level(p_hat, "p", InfeasiblePError)
     t_top = 1.0 - f_top / p_hat
-    if model is PlottingModel.PARETO:
-        keep = t_top > BOUNDARY_EPS
-    else:
-        keep = (t_top > BOUNDARY_EPS) & (t_top < 1.0 - BOUNDARY_EPS)
+    keep = _admissible(model, t_top)
     x = np.log(z_top[keep])
     y = _s_values(model, t_top[keep])
     return PlotSeries(x, y, model, int(k), int(k - np.count_nonzero(keep)))

@@ -27,8 +27,8 @@ from .plotfit import (
     PlotSeries,
     _check_lam,
     _check_level,
-    _chunk_rows,
     _distinct,
+    _golden_width,
     _profile_at,
     _recorded_profile,
     minimize_on_interval,
@@ -161,7 +161,7 @@ def pot_fit(
     fun, evaluated = _recorded_profile(config.k, terms)
     pi_hat, _ = minimize_on_interval(
         fun, pi_lower, 1.0, config.p_grid_resolution, config.refine_tolerance,
-        width=_chunk_rows(config.k),
+        width=_golden_width(config.k),
     )
     loss, slope, skipped = evaluated(pi_hat)
     scale = -slope

@@ -104,6 +104,20 @@ class TestParseDataset:
         s = parse_dataset(io.StringIO("time,status\n1,1\n\n2,0\n"))
         assert s.n == 2
 
+    def test_utf8_bom_and_crlf(self, tmp_path):
+        # what spreadsheet "CSV UTF-8" exports write
+        plain = tmp_path / "plain.csv"
+        want = make_dataset(plain, n=30)
+        text = plain.read_text()
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+        for got in (parse_dataset(str(bom)), parse_dataset(io.StringIO("\ufeff" + text))):
+            assert_array_equal(got.times, want.times)
+            assert_array_equal(got.events, want.events)
+        # only a leading mark is dropped, and only one
+        with pytest.raises(DatasetFormatError, match="line 1"):
+            parse_dataset(io.StringIO("\ufeff\ufefftime,status\n1,1\n"))
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         times = np.concatenate([[0.0, 0.1, 1 / 3, 1e-17, 1e300], rng.exponential(1.0, 40)])
@@ -324,6 +338,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "line 2" in captured.err
+
+    def test_non_utf8_dataset_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"time,status\n1,\xff\n")
+        code = main(["fit", "--input", str(p), "--model", "pareto", "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: dataset is not UTF-8 text" in captured.err and not captured.out
 
     def test_numerical_exit_code(self, tmp_path, capsys):
         p = write_csv(

@@ -31,9 +31,9 @@ from curetail import (
     pp_fit,
     pp_loss,
 )
+from curetail import plotfit
 from curetail.plotfit import (
     BOUNDARY_EPS,
-    PROFILE_CHUNK_ELEMENTS,
     _chunk_rows,
     _distinct,
     _golden_min,
@@ -70,13 +70,13 @@ def mixture(rng, n, tail, p=0.8):
 
 def grid_over(lower, k, chunks=3):
     """Levels in (lower, 1] spanning ``chunks`` full kernel chunks and a partial one."""
-    size = chunks * max(1, PROFILE_CHUNK_ELEMENTS // k) + 5
+    size = chunks * _chunk_rows(k) + 5
     return lower + (1.0 - lower) * np.arange(1, size + 1) / size
 
 
 def checked_indices(size, k):
     """Every level next to a chunk boundary, plus an even spread of the rest."""
-    rows = max(1, PROFILE_CHUNK_ELEMENTS // k)
+    rows = _chunk_rows(k)
     near = [b + d for b in range(0, size, rows) for d in (-1, 0, 1)]
     spread = range(0, size, max(1, size // 60))
     return sorted({i for i in (*near, *spread, size - 1) if 0 <= i < size})
@@ -257,6 +257,48 @@ def test_fit_fields_equal_a_fresh_profile_at_the_estimate(model, n, k):
     loss, want_slope, skipped = case.run([level])
     assert_same_bits([fit.loss, slope], [loss[0], want_slope[0]])
     assert fit.skipped_terms == skipped[0]
+
+
+@pytest.mark.parametrize("n, k, golden_width", [(500, 100, 63), (4000, 3999, 1)])
+@pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
+def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, golden_width):
+    # the kernel is batch-invariant, so the chunk size may change every
+    # grid call's chunks but no estimate; the refinement's call sizes
+    # have their own rule and stay as they are
+    if model in PLOT_TAILS:
+        case = plot_case(model, k, seed=5000 + k, n=n)
+
+        def fit():
+            return pp_fit(case.ordered, case.curve, FitConfig(k=k, model=model))
+    else:
+        case = pot_case(model, k, seed=6000 + k, n=n)
+
+        def fit():
+            return pot_fit(case.ordered, case.curve, model, FitConfig(k=k))
+    kernel = plotfit.profile_levels
+    sizes = []
+
+    def recording(levels, *args):
+        sizes.append(len(levels))
+        return kernel(levels, *args)
+
+    monkeypatch.setattr(plotfit, "profile_levels", recording)
+    results, refinements = set(), set()
+    for elements in (k, 4096, 8192, 65536):
+        monkeypatch.setattr(plotfit, "PROFILE_CHUNK_ELEMENTS", elements)
+        sizes.clear()
+        result = fit()
+        assert not result.boundary
+        results.add(repr(result))
+        # one grid call of 512 levels and the notch, then the refinement
+        assert sizes[0] == 513
+        refinements.add(tuple(sizes[1:]))
+    assert len(results) == 1
+    assert len(refinements) == 1
+    (refinement,) = refinements
+    # a basin's first pair is one call of two levels, then trees of at most the width
+    assert all(size <= golden_width or size == 2 for size in refinement)
+    assert max(refinement) == max(golden_width, 2)
 
 
 def test_distinct_rule_follows_transform_cost():
