@@ -99,6 +99,9 @@ def _write_csv(sink, header: list[str], rows) -> None:
 
 def _load(args):
     if args.input == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            # strict UTF-8 as for a path, not the surrogate escapes stdin defaults to
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
         return parse_dataset(sys.stdin)
     try:
         return parse_dataset(args.input)

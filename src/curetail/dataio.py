@@ -86,13 +86,13 @@ def _parse_rows(reader) -> SurvivalSample:
 
 def parse_dataset(source) -> SurvivalSample:
     """Read a ``time,status`` CSV from a path or an open text stream."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            try:
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, newline="", encoding="utf-8") as fh:
                 return _parse_rows(csv.reader(fh))
-            except UnicodeDecodeError:
-                raise DatasetFormatError("dataset is not UTF-8 text") from None
-    return _parse_rows(csv.reader(source))
+        return _parse_rows(csv.reader(source))
+    except UnicodeDecodeError:
+        raise DatasetFormatError("dataset is not UTF-8 text") from None
 
 
 def write_dataset(sample: SurvivalSample, dest) -> None:

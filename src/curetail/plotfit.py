@@ -129,11 +129,16 @@ def p_benchmark(curve: KaplanMeierCurve, ordered: OrderedSample) -> float:
 
 
 def _top_slice(ordered: OrderedSample, curve: KaplanMeierCurve, k: int):
-    """Threshold, top-k times (ascending) and their curve values."""
+    """Threshold, top-k times (ascending) and their curve values.
+
+    The plot regressors are log-times over the threshold, so it must be
+    positive."""
     n = ordered.n
     if not isinstance(k, (int, np.integer)) or not (2 <= k <= n - 1):
         raise InvalidKError(f"k must be an integer in [2, {n - 1}], got {k!r}")
     threshold = float(ordered.sorted_times[n - k - 1])
+    if threshold <= 0.0:
+        raise NonPositiveThresholdError("plot regressors need a positive threshold")
     z_top = ordered.sorted_times[n - k:]
     f_top = km_eval(curve, z_top)
     f_thr = float(km_eval(curve, threshold))
@@ -272,38 +277,6 @@ def profile_levels(levels, k: int, terms):
     return loss, slope, k - kept
 
 
-def _profile_at(level: float, k: int, terms):
-    """``profile_levels`` at a single level, as Python scalars."""
-    loss, slope, skipped = profile_levels(np.array([level]), k, terms)
-    return float(loss[0]), float(slope[0]), int(skipped[0])
-
-
-def _recorded_profile(k: int, terms):
-    """Search objective over ``profile_levels`` that keeps every call's results.
-
-    Returns ``(fun, at)``: ``fun`` maps an array of levels to their losses,
-    and ``at(level)`` gives the loss, slope and skipped count of a level
-    ``fun`` has evaluated, as ``_profile_at`` would, bit for bit, since a
-    level's results do not depend on its batch.
-    """
-    calls = []
-
-    def fun(levels):
-        result = profile_levels(levels, k, terms)
-        calls.append((levels, result))
-        return result[0]
-
-    def at(level: float):
-        for levels, (loss, slope, skipped) in calls:
-            hit = np.flatnonzero(levels == level)
-            if hit.size:
-                i = hit[0]
-                return float(loss[i]), float(slope[i]), int(skipped[i])
-        raise KeyError(level)
-
-    return fun, at
-
-
 def _plot_terms(model, f_top, f_thr, x, lam, p_n):
     """Plot-fit rows for ``profile_levels``: y = s(1 - F/p) - s_thr against x.
 
@@ -419,8 +392,14 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
                          *, width: int = 1):
     """Dense grid over (lower, upper] followed by golden-section refinement.
 
-    ``fun`` maps a 1-d array of arguments to the array of their values,
-    and a point's value must not depend on the other points of its call.
+    ``fun`` maps a 1-d array of arguments to a tuple of arrays of their
+    values, the quantity to minimize first, as ``profile_levels`` does; a
+    point's values must not depend on the other points of its call.
+    Returns ``(x, values)``: the minimizing argument and the entries of
+    that tuple at it, as Python scalars read back from the call that
+    evaluated it.  A collapsed interval (``lower >= upper``) evaluates
+    ``upper`` alone and returns it.
+
     The grid is one call with all ``resolution`` points plus the boundary
     notch, the first representable point past the open lower end.
     Refines around every local minimum of the grid profile (up to the three
@@ -433,10 +412,26 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     when it beats every refined basin.  Ties resolve to the smallest
     argument.
     """
+    calls = []
+
+    def minimized(xs):
+        values = fun(xs)
+        calls.append((xs, values))
+        return values[0]
+
+    def at(x):
+        for xs, values in calls:
+            hit = np.flatnonzero(xs == x)
+            if hit.size:
+                return x, tuple(v[hit[0]].item() for v in values)
+
+    if lower >= upper:
+        minimized(np.array([upper]))
+        return at(upper)
     grid = lower + (upper - lower) * np.arange(1, resolution + 1) / resolution
     notch = np.nextafter(lower, upper)
     probe = notch < upper
-    vals = np.asarray(fun(np.append(grid, notch) if probe else grid), dtype=float)
+    vals = np.asarray(minimized(np.append(grid, notch) if probe else grid), dtype=float)
     vals, notch_f = vals[:resolution], float(vals[-1])
     # local minima of the sampled profile, endpoints included
     lower_nb = np.r_[np.inf, vals[:-1]]
@@ -448,12 +443,12 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     for i in order:
         a = grid[i - 1] if i > 0 else lower + (upper - lower) * 1e-12
         b = grid[i + 1] if i < resolution - 1 else upper
-        x, f = _golden_min(fun, float(a), float(b), xtol, width)
+        x, f = _golden_min(minimized, float(a), float(b), xtol, width)
         if f < best_f or (f == best_f and x < best_x):
             best_x, best_f = x, f
     if probe and (notch_f < best_f or (notch_f == best_f and notch < best_x)):
-        best_x, best_f = float(notch), notch_f
-    return best_x, best_f
+        best_x = float(notch)
+    return at(best_x)
 
 
 def pp_loss(model, ordered, curve, k, slope, p, lam, p_n=None):
@@ -464,8 +459,6 @@ def pp_loss(model, ordered, curve, k, slope, p, lam, p_n=None):
     leaving only the penalty.
     """
     threshold, z_top, f_top, f_thr = _top_slice(ordered, curve, k)
-    if threshold <= 0.0:
-        raise NonPositiveThresholdError("plot regressors need a positive threshold")
     if p_n is None:
         p_n = p_benchmark(curve, ordered)
     _check_level(p, "p", InfeasiblePError, p_n)
@@ -494,8 +487,6 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
         raise ValidationError("FitConfig.model must be set for a plot fit")
     model = config.model
     threshold, z_top, f_top, f_thr = _top_slice(ordered, curve, config.k)
-    if threshold <= 0.0:
-        raise NonPositiveThresholdError("plot regressors need a positive threshold")
     x = np.log(z_top) - math.log(threshold)
     if not np.any(x > 0):
         raise DegenerateRegressorError("top k+1 observations coincide; no slope identifiable")
@@ -503,17 +494,11 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
     lam = config.resolved_lam(ordered.n)
 
     terms = _plot_terms(model, f_top, f_thr, x, lam, p_n)
-    if p_n >= 1.0:
-        loss, slope, skipped = _profile_at(1.0, config.k, terms)
-        return CureFit(1.0, slope, loss, p_n, config.k, p_n, skipped, boundary=True)
-
-    fun, evaluated = _recorded_profile(config.k, terms)
-    p_hat, _ = minimize_on_interval(
-        fun, p_n, 1.0, config.p_grid_resolution, config.refine_tolerance,
-        width=_golden_width(config.k),
+    p_hat, (loss, slope, skipped) = minimize_on_interval(
+        lambda p: profile_levels(p, config.k, terms), p_n, 1.0,
+        config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
     )
-    loss, slope, skipped = evaluated(p_hat)
-    return CureFit(float(p_hat), slope, loss, p_n, config.k, p_n, skipped)
+    return CureFit(p_hat, slope, loss, p_n, config.k, p_n, skipped, boundary=p_n >= 1.0)
 
 
 def gof_series(model, ordered, curve, k, p_hat) -> PlotSeries:
@@ -524,8 +509,6 @@ def gof_series(model, ordered, curve, k, p_hat) -> PlotSeries:
     require feasibility beyond that.
     """
     threshold, z_top, f_top, _ = _top_slice(ordered, curve, k)
-    if threshold <= 0.0:
-        raise NonPositiveThresholdError("plot regressors need a positive threshold")
     _check_level(p_hat, "p", InfeasiblePError)
     t_top = 1.0 - f_top / p_hat
     keep = _admissible(model, t_top)

@@ -29,10 +29,9 @@ from .plotfit import (
     _check_level,
     _distinct,
     _golden_width,
-    _profile_at,
-    _recorded_profile,
     minimize_on_interval,
     p_benchmark,
+    profile_levels,
 )
 from .survival import (
     KaplanMeierCurve,
@@ -152,27 +151,21 @@ def pot_fit(
     pi_lower = float(exc_curve.cdf_values[-1])
 
     terms = _pot_terms(e, f_k, lam, p_n, p_k)
-    if pi_lower >= 1.0:
-        loss, slope, skipped = _profile_at(1.0, config.k, terms)
-        # slope 0: the kept log-terms all vanish, and no scale is identified
-        scale = -slope if slope != 0.0 else math.nan
-        return PotFit(scale, 1.0, 1.0, p_k, loss, config.k, False, skipped, boundary=True)
-
-    fun, evaluated = _recorded_profile(config.k, terms)
-    pi_hat, _ = minimize_on_interval(
-        fun, pi_lower, 1.0, config.p_grid_resolution, config.refine_tolerance,
-        width=_golden_width(config.k),
+    pi_hat, (loss, slope, skipped) = minimize_on_interval(
+        lambda pi: profile_levels(pi, config.k, terms), pi_lower, 1.0,
+        config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
     )
-    loss, slope, skipped = evaluated(pi_hat)
+    boundary = pi_lower >= 1.0
     scale = -slope
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DegenerateExceedancesError(
-            "exceedance fit collapsed to a non-positive scale"
-        )
+    if boundary and slope == 0.0:
+        # the kept log-terms all vanish, and no scale is identified
+        scale = math.nan
+    elif not boundary and not (math.isfinite(scale) and scale > 0.0):
+        raise DegenerateExceedancesError("exceedance fit collapsed to a non-positive scale")
     p_raw = 1.0 - (1.0 - pi_hat) * p_k
     clipped = not (0.0 <= p_raw <= 1.0)
     p_hat = min(max(p_raw, 0.0), 1.0)
-    return PotFit(scale, float(pi_hat), float(p_hat), p_k, loss, config.k, clipped, skipped)
+    return PotFit(scale, pi_hat, p_hat, p_k, loss, config.k, clipped, skipped, boundary)
 
 
 def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:

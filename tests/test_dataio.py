@@ -35,6 +35,14 @@ def write_csv(path, text):
     return str(path)
 
 
+def cli_env():
+    """Environment for a ``python -m curetail.cli`` subprocess that imports
+    this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def make_dataset(path, n=60, seed=5, p=0.8):
     rng = np.random.default_rng(seed)
     life = rng.exponential(1.0, n)
@@ -347,6 +355,19 @@ class TestCli:
         assert code == 2
         assert "error: dataset is not UTF-8 text" in captured.err and not captured.out
 
+    def test_non_utf8_stdin_exit_code(self):
+        # a real stdin pipe, whose default decoding would escape the 0xff byte
+        argv = [sys.executable, "-m", "curetail.cli", "fit", "--input", "-",
+                "--model", "pareto", "--k", "2"]
+        bad = subprocess.run(argv, input=b"time,status\n1,\xff\n", capture_output=True,
+                             env=cli_env(), timeout=120)
+        assert bad.returncode == 2 and bad.stdout == b""
+        assert bad.stderr == b"error: dataset is not UTF-8 text\n"
+        bom = b"\xef\xbb\xbftime,status\r\n" + b"".join(
+            b"%d,%d\r\n" % (t, t % 2) for t in range(1, 9))
+        good = subprocess.run(argv, input=bom, capture_output=True, env=cli_env(), timeout=120)
+        assert good.returncode == 0 and json.loads(good.stdout)["n"] == 8
+
     def test_numerical_exit_code(self, tmp_path, capsys):
         p = write_csv(
             tmp_path / "z.csv",
@@ -530,9 +551,6 @@ class TestCli:
         ["gof", "--model", "weibull", "--k", "399", "--input"],
     ])
     def test_closed_stdout_exits_quietly(self, demo_csv, argv):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         if argv[0] == "gof":
             argv = [*argv, demo_csv]
         read_end, write_end = os.pipe()
@@ -540,7 +558,7 @@ class TestCli:
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "curetail.cli", *argv],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=120,
             )
         finally:
             os.close(write_end)

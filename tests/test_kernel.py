@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from curetail import (
     FitConfig,
+    OrderedSample,
     PlottingModel,
     PotDomain,
     SurvivalSample,
@@ -31,7 +32,7 @@ from curetail import (
     pp_fit,
     pp_loss,
 )
-from curetail import plotfit
+from curetail import plotfit, potfit
 from curetail.plotfit import (
     BOUNDARY_EPS,
     _chunk_rows,
@@ -111,7 +112,7 @@ class PlotCase:
 
 class PotCase:
     def __init__(self, domain, ordered, curve, k, lam):
-        self.ordered, self.curve = ordered, curve
+        self.domain, self.ordered, self.curve = domain, ordered, curve
         exc = exceedances(ordered, k, log_scale=domain is PotDomain.FRECHET)
         self.e = exc.times
         self.exc_curve = km_fit(exc)
@@ -240,23 +241,83 @@ def test_threshold_below_first_event():
                 assert loss[i] == case.scalar_loss(1.0, p)
 
 
+def boundary_case(case, top_censored=False):
+    """``case`` with its largest observation made an event, so that the plot
+    curve (p_n) and the exceedance curve both reach 1 and the feasible
+    interval collapses; ``top_censored`` also censors the rest of the top k."""
+    o, k = case.ordered, case.k
+    events = o.concomitant_events.copy()
+    if top_censored:
+        events[o.n - k:] = 0
+    events[-1] = 1
+    o = OrderedSample(o.sorted_times, events)
+    if isinstance(case, PlotCase):
+        return PlotCase(case.model, o, km_fit(o), k, case.lam)
+    return PotCase(case.domain, o, km_fit(o), k, case.lam)
+
+
+def fit_case(case):
+    """Fit the case's model; returns the fit, its level and its profiled slope."""
+    if isinstance(case, PlotCase):
+        fit = pp_fit(case.ordered, case.curve, FitConfig(k=case.k, model=case.model))
+        return fit, fit.p_hat, fit.slope_hat
+    fit = pot_fit(case.ordered, case.curve, case.domain, FitConfig(k=case.k))
+    return fit, fit.pi_hat, -fit.scale_hat
+
+
 @pytest.mark.parametrize("n, k", [(200, 40), (200, 199)])
 @pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
 def test_fit_fields_equal_a_fresh_profile_at_the_estimate(model, n, k):
     # the fits read loss, slope and skipped count back from the search's
-    # own kernel calls instead of evaluating the estimate once more
+    # own kernel calls instead of evaluating the estimate once more; a
+    # boundary fit's come from the search's one call at level 1
     if model in PLOT_TAILS:
         case = plot_case(model, k, seed=3000 + k, n=n)
-        fit = pp_fit(case.ordered, case.curve, FitConfig(k=k, model=model))
-        level, slope = fit.p_hat, fit.slope_hat
     else:
         case = pot_case(model, k, seed=4000 + k, n=n)
-        fit = pot_fit(case.ordered, case.curve, model, FitConfig(k=k))
-        level, slope = fit.pi_hat, -fit.scale_hat
-    assert not fit.boundary
-    loss, want_slope, skipped = case.run([level])
-    assert_same_bits([fit.loss, slope], [loss[0], want_slope[0]])
-    assert fit.skipped_terms == skipped[0]
+    for case, boundary in ((case, False), (boundary_case(case), True)):
+        fit, level, slope = fit_case(case)
+        assert fit.boundary == boundary
+        if boundary:
+            assert level == 1.0 and fit.p_hat == 1.0
+        loss, want_slope, skipped = case.run([level])
+        assert_same_bits([fit.loss, slope], [loss[0], want_slope[0]])
+        assert fit.skipped_terms == skipped[0]
+
+
+@pytest.mark.parametrize("domain", list(POT_TAILS))
+def test_boundary_exceedance_fit_without_a_slope_has_no_scale(domain):
+    # every top-k observation but the largest is censored: at pi = 1 the
+    # kept terms have F = 0, so every log-term is 0 and the slope is 0
+    case = boundary_case(pot_case(domain, 40, seed=4040, n=200), top_censored=True)
+    fit, level, _ = fit_case(case)
+    loss, slope, skipped = case.run([1.0])
+    assert fit.boundary and level == 1.0 and slope[0] == 0.0
+    assert math.isnan(fit.scale_hat)
+    assert_same_bits([fit.loss], loss)
+    assert fit.skipped_terms == skipped[0] == 1
+
+
+def test_each_fit_makes_one_search_through_its_own_module(monkeypatch):
+    # the benchmark's tracer tells plot searches from exceedance searches
+    # by the module name a fit calls minimize_on_interval through
+    counts = {}
+    for module in (plotfit, potfit):
+        search = module.minimize_on_interval
+
+        def counting(*args, _search=search, _name=module.__name__, **kwargs):
+            counts[_name] += 1
+            return _search(*args, **kwargs)
+
+        monkeypatch.setattr(module, "minimize_on_interval", counting)
+    cases = [plot_case(model, 40, seed=3040, n=200) for model in PLOT_TAILS]
+    cases += [pot_case(domain, 40, seed=4040, n=200) for domain in POT_TAILS]
+    for case in cases:
+        for case in (case, boundary_case(case)):
+            counts.update({plotfit.__name__: 0, potfit.__name__: 0})
+            fit_case(case)
+            plot = isinstance(case, PlotCase)
+            assert counts == {plotfit.__name__: int(plot), potfit.__name__: int(not plot)}
 
 
 @pytest.mark.parametrize("n, k, golden_width", [(500, 100, 63), (4000, 3999, 1)])
@@ -283,6 +344,7 @@ def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, golden_widt
         return kernel(levels, *args)
 
     monkeypatch.setattr(plotfit, "profile_levels", recording)
+    monkeypatch.setattr(potfit, "profile_levels", recording)
     results, refinements = set(), set()
     for elements in (k, 4096, 8192, 65536):
         monkeypatch.setattr(plotfit, "PROFILE_CHUNK_ELEMENTS", elements)
@@ -430,9 +492,22 @@ def test_notch_is_evaluated_in_the_grid_call():
     def rising(x):
         # increasing, so the notch beats every refined basin
         calls.append(np.array(x))
-        return x - lower
+        return (x - lower,)
 
-    x, fx = minimize_on_interval(rising, lower, upper, resolution, 1e-10, width=7)
+    x, (fx,) = minimize_on_interval(rising, lower, upper, resolution, 1e-10, width=7)
     assert x == notch and fx == notch - lower
     assert calls[0].size == resolution + 1 and calls[0][-1] == notch
     assert all(notch not in c for c in calls[1:])
+
+
+def test_collapsed_interval_evaluates_the_upper_end_alone():
+    calls = []
+
+    def profile(x):
+        calls.append(np.array(x))
+        return x + 1.0, 2.0 * x, np.full(x.shape, 3)
+
+    x, values = minimize_on_interval(profile, 1.0, 1.0, 64, 1e-10, width=7)
+    assert [c.tolist() for c in calls] == [[1.0]]
+    assert x == 1.0 and values == (2.0, 2.0, 3)
+    assert [type(v) for v in values] == [float, float, int]
