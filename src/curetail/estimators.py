@@ -6,9 +6,10 @@ nonparametric benchmark ``pn``, which needs no fit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
-from .errors import ValidationError
+from .errors import DegenerateExceedancesError, ValidationError
 from .plotfit import FitConfig, PlotSeries, gof_series, p_benchmark, pp_fit
 from .potfit import PotDomain, pot_fit, pot_gof_series
 from .survival import KaplanMeierCurve, OrderedSample
@@ -75,5 +76,8 @@ def fit_series(name: str, ordered: OrderedSample, curve: KaplanMeierCurve,
     """Fit a name in MODEL_NAMES; its goodness-of-fit coordinates at the fit."""
     model, fit = _fit(name, ordered, curve, config)
     if isinstance(model, PotDomain):
+        if not (math.isfinite(fit.scale_hat) and fit.scale_hat > 0.0):
+            # a boundary fit (p_n = 1) need not identify a scale
+            raise DegenerateExceedancesError("exceedance fit has no positive scale to plot")
         return pot_gof_series(ordered, curve, model, config.k, fit.pi_hat, fit.scale_hat)
     return gof_series(model, ordered, curve, config.k, fit.p_hat)

@@ -42,18 +42,14 @@ BOUNDARY_EPS = 1e-15
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Most (level, term) elements one profile_levels chunk holds, unless four
-# levels need more.  Larger chunks raise peak memory; smaller ones pay the
-# kernel's fixed per-chunk cost more often.  That cost is about 30-60 us
-# for Pareto and Weibull rows (Intel Xeon, numpy 2.4): one level of 100
+# levels need more; it bounds the grid's chunks and every golden-section
+# refinement call alike.  Larger chunks raise peak memory; smaller ones pay
+# the kernel's fixed per-chunk cost more often.  That cost is about 30-60
+# us for Pareto and Weibull rows (Intel Xeon, numpy 2.4): one level of 100
 # terms costs about as much as two.  At k = 3999 a chunk of two levels
 # took 96-126 us and one of four 127-175 us, so the four-level floor
 # halves a large-k grid's chunks for about a third more time per chunk.
 PROFILE_CHUNK_ELEMENTS = 8192
-
-# Most (level, term) elements one speculative golden-section call
-# evaluates.  Kept apart from PROFILE_CHUNK_ELEMENTS, so that a change to
-# the chunk size leaves every refinement call as it is.
-_GOLDEN_CALL_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -221,16 +217,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray):
 def _chunk_rows(k: int) -> int:
     """Levels of ``k`` terms each that one ``profile_levels`` chunk holds."""
     return max(4, PROFILE_CHUNK_ELEMENTS // k)
-
-
-def _golden_width(k: int) -> int:
-    """Most levels of ``k`` terms one speculative golden-section call evaluates.
-
-    Its budget is ``_GOLDEN_CALL_ELEMENTS``, not the chunk size, so the
-    four-level floor of ``_chunk_rows`` leaves the refinement at one level
-    per call at large k.
-    """
-    return max(1, _GOLDEN_CALL_ELEMENTS // k)
 
 
 def profile_levels(levels, k: int, terms):
@@ -404,13 +390,13 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     notch, the first representable point past the open lower end.
     Refines around every local minimum of the grid profile (up to the three
     deepest) with ``_golden_min``, whose calls hold at most ``width``
-    points after the first pair of each basin.  The width trades the
-    fixed cost of a call to ``fun`` against the points a wider call
-    evaluates in vain: ``depth`` steps take one call of ``2**depth - 1``
-    points instead of ``depth`` calls of one, and pay off while one such
-    call costs less than ``depth`` single-point calls.  The notch wins
-    when it beats every refined basin.  Ties resolve to the smallest
-    argument.
+    points after the first pair of each basin; both fits pass
+    ``_chunk_rows(k)``, so ``PROFILE_CHUNK_ELEMENTS`` bounds the grid's
+    kernel chunks and every refinement call alike.  A wider call trades
+    the fixed cost of a call to ``fun`` against the points it evaluates
+    in vain: one call of ``2**depth - 1`` points serves ``depth`` steps.
+    The notch wins when it beats every refined basin.  Ties resolve to
+    the smallest argument.
     """
     calls = []
 
@@ -496,7 +482,7 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
     terms = _plot_terms(model, f_top, f_thr, x, lam, p_n)
     p_hat, (loss, slope, skipped) = minimize_on_interval(
         lambda p: profile_levels(p, config.k, terms), p_n, 1.0,
-        config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
+        config.p_grid_resolution, config.refine_tolerance, width=_chunk_rows(config.k),
     )
     return CureFit(p_hat, slope, loss, p_n, config.k, p_n, skipped, boundary=p_n >= 1.0)
 

@@ -22,13 +22,13 @@ from .errors import (
     ValidationError,
 )
 from .plotfit import (
-    BOUNDARY_EPS,
     FitConfig,
     PlotSeries,
+    _admissible,
     _check_lam,
     _check_level,
+    _chunk_rows,
     _distinct,
-    _golden_width,
     minimize_on_interval,
     p_benchmark,
     profile_levels,
@@ -40,6 +40,7 @@ from .survival import (
     km_eval,
     km_fit,
 )
+from .transforms import PlottingModel
 
 __all__ = ["PotDomain", "PotFit", "pot_loss", "pot_fit", "pot_gof_series"]
 
@@ -90,7 +91,7 @@ def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
     _check_level(pi, "pi", InfeasiblePiError, lower)
     f_k = np.asarray(km_eval(exc_curve, e))
     arg = 1.0 - f_k / pi
-    keep = arg > BOUNDARY_EPS
+    keep = _admissible(PlottingModel.PARETO, arg)
     p = 1.0 - (1.0 - pi) * p_k
     penalty = lam * (p - p_n) ** 2
     if not np.any(keep):
@@ -103,13 +104,14 @@ def _pot_terms(e, f_k, lam, p_n, p_k):
     """Exceedance-fit rows for ``profile_levels``: e against w = log(1 - F/pi).
 
     The profiled slope is minus the scale.  The logarithm runs once per
-    distinct value of the conditional curve.
+    distinct value of the conditional curve.  w is minus the Pareto
+    transform of its argument, so terms are kept by that model's rule.
     """
     f_dist, gather = _distinct(f_k)
 
     def terms(pi):
         arg = 1.0 - f_dist / pi[:, None]
-        keep = arg > BOUNDARY_EPS
+        keep = _admissible(PlottingModel.PARETO, arg)
         all_kept = bool(keep.all())
         w = np.log(arg if all_kept else np.where(keep, arg, 1.0))
         if gather is not None:
@@ -153,7 +155,7 @@ def pot_fit(
     terms = _pot_terms(e, f_k, lam, p_n, p_k)
     pi_hat, (loss, slope, skipped) = minimize_on_interval(
         lambda pi: profile_levels(pi, config.k, terms), pi_lower, 1.0,
-        config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
+        config.p_grid_resolution, config.refine_tolerance, width=_chunk_rows(config.k),
     )
     boundary = pi_lower >= 1.0
     scale = -slope
@@ -184,7 +186,7 @@ def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
     exc_curve = km_fit(exc)
     f_k = np.asarray(km_eval(exc_curve, e))
     arg = 1.0 - f_k / pi_hat
-    keep = arg > BOUNDARY_EPS
+    keep = _admissible(PlottingModel.PARETO, arg)
     x = e[keep]
     y = -scale_hat * np.log(arg[keep])
     return PlotSeries(x, y, domain, int(k), int(k - np.count_nonzero(keep)))

@@ -151,6 +151,9 @@ class ScenarioSpec:
             raise ValidationError(f"n must be an integer >= 10, got {self.n!r}")
         if not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
             raise ValidationError(f"reps must be a positive integer, got {self.reps!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
         self.resolve_k()
 
     def resolve_k(self) -> int:
@@ -254,9 +257,9 @@ def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSumm
 
     The benchmark ``pn`` is always appended when not requested.  Failed
     fits are excluded from the summaries and counted per estimator.
-    Parallelism over replications (CURETAIL_THREADS workers) does not
-    change any output bit: streams are per-replication and the reduction
-    order is fixed.
+    Parallelism over replications (CURETAIL_THREADS workers, at most one
+    per replication and per usable CPU) does not change any output bit:
+    streams are per-replication and the reduction order is fixed.
     """
     names = list(dict.fromkeys(estimators))
     for name in names:
@@ -265,9 +268,13 @@ def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSumm
         names.append("pn")
     names = tuple(names)
 
-    workers = int(os.environ.get("CURETAIL_THREADS", "1"))
+    raw = os.environ.get("CURETAIL_THREADS", "1")
+    try:
+        workers = min(int(raw), spec.reps, len(os.sched_getaffinity(0)))
+    except ValueError:
+        raise ValidationError(f"CURETAIL_THREADS must be an integer, got {raw!r}") from None
     reps = range(spec.reps)
-    if workers > 1 and spec.reps > 1:
+    if workers > 1:
         # imported here: it adds about 15 ms to every import of the package
         from concurrent.futures import ProcessPoolExecutor
 

@@ -378,6 +378,30 @@ class TestCli:
         assert code == 3
         assert "error:" in captured.err
 
+    def test_negative_seed_exit_code(self, capsys):
+        code = main(["simulate", "--scenario", "2", "--n", "60", "--reps", "2", "--p", "0.8",
+                     "--seed", "-1", "--estimators", "pn"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("model", ["gumbel-pot", "frechet-pot"])
+    def test_gof_without_an_exceedance_scale_exit_code(self, tmp_path, capsys, model):
+        # the largest time is an event, so p_n = 1 and the boundary fit
+        # identifies no scale to plot against
+        rng = np.random.default_rng(1)
+        times = rng.exponential(1.0, 60)
+        events = (rng.random(60) < 0.7).astype(int)
+        path = tmp_path / "d.csv"
+        write_dataset(SurvivalSample(times, events), str(path))
+        argv = ["--input", str(path), "--model", model, "--k", "2"]
+        fit = self.fit_json(capsys, ["fit", *argv])
+        assert fit["p_n"] == 1.0 and fit["scale_hat"] is None
+        code = main(["gof", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("k", ["1e400", "nan", "inf", "-inf"])
     def test_non_finite_k_exit_code(self, tmp_path, capsys, k):
         path = tmp_path / "d.csv"

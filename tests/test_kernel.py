@@ -320,12 +320,11 @@ def test_each_fit_makes_one_search_through_its_own_module(monkeypatch):
             assert counts == {plotfit.__name__: int(plot), potfit.__name__: int(not plot)}
 
 
-@pytest.mark.parametrize("n, k, golden_width", [(500, 100, 63), (4000, 3999, 1)])
+@pytest.mark.parametrize("n, k, widest", [(500, 100, 63), (4000, 3999, 3)])
 @pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
-def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, golden_width):
-    # the kernel is batch-invariant, so the chunk size may change every
-    # grid call's chunks but no estimate; the refinement's call sizes
-    # have their own rule and stay as they are
+def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, widest):
+    # the kernel is batch-invariant, so the chunk size may change the grid
+    # call's chunks and the refinement's call sizes but no estimate
     if model in PLOT_TAILS:
         case = plot_case(model, k, seed=5000 + k, n=n)
 
@@ -345,22 +344,23 @@ def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, golden_widt
 
     monkeypatch.setattr(plotfit, "profile_levels", recording)
     monkeypatch.setattr(potfit, "profile_levels", recording)
-    results, refinements = set(), set()
-    for elements in (k, 4096, 8192, 65536):
+    default = plotfit.PROFILE_CHUNK_ELEMENTS
+    results = set()
+    for elements in (k, 4096, default, 65536):
         monkeypatch.setattr(plotfit, "PROFILE_CHUNK_ELEMENTS", elements)
         sizes.clear()
         result = fit()
         assert not result.boundary
         results.add(repr(result))
-        # one grid call of 512 levels and the notch, then the refinement
+        # one grid call of 512 levels and the notch, then the refinement:
+        # the first basin's first pair is one call of two levels, and every
+        # later call holds at most one chunk
         assert sizes[0] == 513
-        refinements.add(tuple(sizes[1:]))
+        assert sizes[1] == 2
+        assert all(size <= _chunk_rows(k) for size in sizes[2:])
+        if elements == default:
+            assert max(sizes[1:]) == widest
     assert len(results) == 1
-    assert len(refinements) == 1
-    (refinement,) = refinements
-    # a basin's first pair is one call of two levels, then trees of at most the width
-    assert all(size <= golden_width or size == 2 for size in refinement)
-    assert max(refinement) == max(golden_width, 2)
 
 
 def test_distinct_rule_follows_transform_cost():

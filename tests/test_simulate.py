@@ -199,7 +199,8 @@ class TestScenarioSpec:
             spec3.resolve_lam(10)
 
     def test_domain_checks(self):
-        for bad in (dict(p=0.0), dict(p=1.0), dict(n=9), dict(reps=0)):
+        for bad in (dict(p=0.0), dict(p=1.0), dict(n=9), dict(reps=0), dict(seed=-1),
+                    dict(seed=True), dict(seed=1.5)):
             kwargs = dict(
                 scenario_id="x",
                 susceptible=Exponential(),
@@ -245,6 +246,41 @@ class TestRunScenario:
             assert_array_equal(a.estimates, b.estimates)
             assert_array_equal(a.rep_indices, b.rep_indices)
             assert a.failures == b.failures
+
+    def test_worker_count_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("CURETAIL_THREADS", "x")
+        spec = scenario_spec(2, n=60, reps=2, p=0.8, seed=7)
+        with pytest.raises(ValidationError, match="CURETAIL_THREADS"):
+            run_scenario(spec)
+
+    @pytest.mark.parametrize("reps, cpus, workers", [(3, 8, 3), (6, 2, 2), (4, 1, None)])
+    def test_pool_is_capped_by_replications_and_cpus(self, monkeypatch, reps, cpus, workers):
+        # a fake pool that records its size and maps inline: a real one
+        # forks every requested worker at the first submit
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setenv("CURETAIL_THREADS", "1000")
+        spec = scenario_spec(2, n=60, reps=reps, p=0.8, seed=7)
+        out = run_scenario(spec)
+        assert sizes == ([] if workers is None else [workers])
+        assert out[0].estimates.size == reps
 
     def test_failed_fits_are_counted_and_excluded(self, monkeypatch):
         import curetail.simulate as sim
