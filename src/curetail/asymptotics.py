@@ -8,12 +8,11 @@ without changing the summands.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 
 __all__ = ["CensoringTail", "h_gamma", "sigma2_k"]
 
@@ -31,14 +30,9 @@ class CensoringTail:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.gamma_c, (int, float)) and math.isfinite(self.gamma_c)):
-            raise ValidationError(f"gamma_c must be a finite real, got {self.gamma_c!r}")
-        if self.gamma_c >= 0:
-            raise ValidationError(f"gamma_c must be negative, got {self.gamma_c}")
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValidationError(f"k must be a positive integer, got {self.k!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n <= self.k:
-            raise ValidationError(f"n must exceed k, got n={self.n!r}, k={self.k!r}")
+        check_real(self.gamma_c, "gamma_c must be a finite negative real", lambda v: v < 0)
+        check_int(self.k, "k must be a positive integer", 1)
+        check_int(self.n, f"n must exceed k = {self.k}", self.k + 1)
 
 
 def _h_values(gamma_c: float, t: np.ndarray) -> np.ndarray:
@@ -54,10 +48,8 @@ def h_gamma(gamma_c: float, t: float) -> float:
 
     Non-negative and non-decreasing in t on [1, inf).
     """
-    if not (isinstance(gamma_c, (int, float)) and math.isfinite(gamma_c)):
-        raise ValidationError(f"gamma_c must be a finite real, got {gamma_c!r}")
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 1.0:
-        raise ValidationError(f"t must be a real >= 1, got {t!r}")
+    check_real(gamma_c, "gamma_c must be a finite real")
+    check_real(t, "t must be a real >= 1", lambda v: v >= 1.0)
     return float(_h_values(gamma_c, np.asarray([float(t)]))[0])
 
 

@@ -44,19 +44,17 @@ def _resolve_k(raw: str, n: int) -> int:
         value = float(raw)
     except ValueError:
         raise ValidationError(f"--k must be an integer or a fraction, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"--k must be finite, got {raw!r}")
     if 0.0 < value < 1.0:
         return snap_floor(value * n)
-    if value == int(value) and value >= 1:
+    if value >= 1 and value.is_integer():
         return int(value)
     raise ValidationError(f"--k must be an integer >= 1 or a fraction in (0, 1), got {raw!r}")
 
 
-def _resolve_lam(raw: str, k: int, n: int) -> float:
-    """Parse a real or the rule name 'kn' (= k/n); ``FitConfig`` checks the range."""
+def _resolve_lam(raw: str) -> float | None:
+    """Parse a real, or None for 'kn'; ``FitConfig`` resolves k/n and checks the range."""
     if raw == "kn":
-        return k / n
+        return None
     try:
         return float(raw)
     except ValueError:
@@ -111,9 +109,8 @@ def _load(args):
 
 def _config(args, n: int) -> FitConfig:
     _check_size("--grid", args.grid)
-    k = _resolve_k(args.k, n)
-    lam = _resolve_lam(args.lam, k, n)
-    return FitConfig(k=k, lam=lam, p_grid_resolution=args.grid, refine_tolerance=args.tol)
+    return FitConfig(k=_resolve_k(args.k, n), lam=_resolve_lam(args.lam),
+                     p_grid_resolution=args.grid, refine_tolerance=args.tol)
 
 
 def _prepare(args):

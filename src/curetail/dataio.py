@@ -19,6 +19,7 @@ from .errors import (
     EmptySampleError,
     KTooSmallForStressError,
     ValidationError,
+    check_real,
 )
 from .estimators import fit_estimate
 from .plotfit import FitConfig, p_benchmark
@@ -123,12 +124,10 @@ def stress_sweep(sample, fractions, estimator: str, config: FitConfig) -> list[S
     the threshold order statistic is never one of the censored-over
     points.  Fraction 0 reproduces the unstressed fit exactly.
     """
-    fractions = [float(f) for f in fractions]
     if not fractions:
         raise ValidationError("need at least one stress fraction")
     for f in fractions:
-        if not (0.0 <= f < 1.0) or not math.isfinite(f):
-            raise ValidationError(f"stress fractions must lie in [0, 1), got {f}")
+        check_real(f, "stress fractions must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)
     n = sample.n
     k_frac = config.k / n
     if k_frac <= max(fractions):
@@ -145,5 +144,5 @@ def stress_sweep(sample, fractions, estimator: str, config: FitConfig) -> list[S
         ordered = order_sample(stressed)
         curve = km_fit(ordered)
         p_hat = fit_estimate(estimator, ordered, curve, config)
-        rows.append(StressRow(f, float(p_hat), p_benchmark(curve, ordered)))
+        rows.append(StressRow(float(f), float(p_hat), p_benchmark(curve, ordered)))
     return rows

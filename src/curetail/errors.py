@@ -3,7 +3,11 @@
 Two branches: ValidationError for malformed inputs (bad shapes, domains,
 file formats) and NumericalError for data that admits no usable fit or
 trips a compute-time guard.  The CLI maps them to exit codes 2 and 3.
+``check_int`` and ``check_real`` are the one rule for numeric inputs: numpy
+numbers count, bools do not, and a real must be finite.
 """
+import math
+import numbers
 
 
 class CuretailError(Exception):
@@ -56,3 +60,20 @@ class DegenerateRegressorError(NumericalError):
 
 class DegenerateExceedancesError(NumericalError):
     """Exceedance sample carries no usable information."""
+
+
+def check_int(value, what, lower, upper=None, error=ValidationError) -> None:
+    """Raise ``error(f"{what}, got {value!r}")`` unless value is an integer in [lower, upper]."""
+    if (type(value) is bool or not isinstance(value, numbers.Integral)
+            or value < lower or (upper is not None and value > upper)):
+        raise error(f"{what}, got {value!r}")
+
+
+def check_real(value, what, inside=None, error=ValidationError) -> None:
+    """Raise ``error(f"{what}, got {value!r}")`` unless value is a real that ``inside`` admits."""
+    try:  # math.isfinite overflows on an integer beyond the float range
+        ok = type(value) is not bool and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok or (inside is not None and not inside(value)):
+        raise error(f"{what}, got {value!r}")

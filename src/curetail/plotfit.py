@@ -21,6 +21,8 @@ from .errors import (
     InvalidKError,
     NonPositiveThresholdError,
     ValidationError,
+    check_int,
+    check_real,
 )
 from .survival import KaplanMeierCurve, OrderedSample, km_eval
 from .transforms import PlottingModel, _s_values
@@ -69,15 +71,12 @@ class FitConfig:
     refine_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
-            raise InvalidKError(f"k must be an integer >= 2, got {self.k!r}")
+        check_int(self.k, "k must be an integer >= 2", 2, error=InvalidKError)
         if self.lam is not None:
             _check_lam(self.lam)
-        res = self.p_grid_resolution
-        if isinstance(res, bool) or not isinstance(res, (int, np.integer)) or res < 10:
-            raise ValidationError(f"p_grid_resolution must be an integer >= 10, got {res!r}")
-        if not (self.refine_tolerance > 0):
-            raise ValidationError("refine_tolerance must be positive")
+        check_int(self.p_grid_resolution, "p_grid_resolution must be an integer >= 10", 10)
+        check_real(self.refine_tolerance, "refine_tolerance must be a finite positive real",
+                   lambda v: v > 0)
 
     def resolved_lam(self, n: int) -> float:
         return self.k / n if self.lam is None else float(self.lam)
@@ -130,8 +129,7 @@ def _top_slice(ordered: OrderedSample, curve: KaplanMeierCurve, k: int):
     The plot regressors are log-times over the threshold, so it must be
     positive."""
     n = ordered.n
-    if not isinstance(k, (int, np.integer)) or not (2 <= k <= n - 1):
-        raise InvalidKError(f"k must be an integer in [2, {n - 1}], got {k!r}")
+    check_int(k, f"k must be an integer in [2, {n - 1}]", 2, n - 1, InvalidKError)
     threshold = float(ordered.sorted_times[n - k - 1])
     if threshold <= 0.0:
         raise NonPositiveThresholdError("plot regressors need a positive threshold")
@@ -142,8 +140,7 @@ def _top_slice(ordered: OrderedSample, curve: KaplanMeierCurve, k: int):
 
 
 def _check_lam(lam) -> None:
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"lam must be a finite non-negative real, got {lam!r}")
+    check_real(lam, "lam must be a finite non-negative real", lambda v: v >= 0)
 
 
 def _check_level(value, label: str, error, lower: float = 0.0) -> None:
@@ -151,10 +148,7 @@ def _check_level(value, label: str, error, lower: float = 0.0) -> None:
 
     1 stays admissible even when the feasibility bound itself reaches 1.
     """
-    if not (isinstance(value, (int, float)) and math.isfinite(value)) or not (
-        0.0 < value <= 1.0
-    ):
-        raise error(f"{label} must lie in (0, 1], got {value!r}")
+    check_real(value, f"{label} must lie in (0, 1]", lambda v: 0.0 < v <= 1.0, error)
     if value <= lower and value != 1.0:
         raise error(f"{label} must exceed the feasibility bound {lower}, got {value}")
 

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateExceedancesError,
     InfeasiblePiError,
     ValidationError,
+    check_real,
 )
 from .plotfit import (
     FitConfig,
@@ -84,8 +85,7 @@ def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
     e = np.asarray(exceedance_values, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise ValidationError("exceedance_values must be a non-empty 1-d array")
-    if not (isinstance(scale, (int, float)) and math.isfinite(scale) and scale > 0):
-        raise ValidationError(f"scale must be a positive real, got {scale!r}")
+    check_real(scale, "scale must be a positive real", lambda v: v > 0)
     _check_lam(lam)
     lower = float(exc_curve.cdf_values[-1]) if exc_curve.jump_times.size else 0.0
     _check_level(pi, "pi", InfeasiblePiError, lower)
@@ -179,8 +179,7 @@ def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
     if not isinstance(domain, PotDomain):
         raise ValidationError(f"unknown exceedance domain {domain!r}")
     _check_level(pi_hat, "pi", InfeasiblePiError)
-    if not (isinstance(scale_hat, (int, float)) and math.isfinite(scale_hat) and scale_hat > 0):
-        raise ValidationError(f"scale must be a positive real, got {scale_hat!r}")
+    check_real(scale_hat, "scale must be a positive real", lambda v: v > 0)
     exc = exceedances(ordered, k, log_scale=domain is PotDomain.FRECHET)
     e = exc.times
     exc_curve = km_fit(exc)

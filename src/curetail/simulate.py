@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CuretailError, ValidationError
+from .errors import CuretailError, ValidationError, check_int, check_real
 from .estimators import check_name, fit_estimate
 from .plotfit import FitConfig
 from .survival import SurvivalSample, km_fit, order_sample
@@ -145,32 +145,29 @@ class ScenarioSpec:
     lam_rule: float | str = "k/n"
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, float)) and 0.0 < self.p < 1.0):
-            raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 10:
-            raise ValidationError(f"n must be an integer >= 10, got {self.n!r}")
-        if not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
-            raise ValidationError(f"reps must be a positive integer, got {self.reps!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+        check_real(self.p, "p must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+        check_int(self.n, "n must be an integer >= 10", 10)
+        check_int(self.reps, "reps must be a positive integer", 1)
+        check_int(self.seed, "seed must be a non-negative integer", 0)
         self.resolve_k()
+        if self.lam_rule != "k/n":
+            check_real(self.lam_rule, "lam_rule must be 'k/n' or a finite real")
 
     def resolve_k(self) -> int:
         if self.k_rule == "n-1":
             return self.n - 1
         if self.k_rule == "n/5":
             return self.n // 5
-        if isinstance(self.k_rule, (int, np.integer)) and 2 <= self.k_rule <= self.n - 1:
-            return int(self.k_rule)
-        raise ValidationError(f"k_rule must be 'n-1', 'n/5' or an integer in [2, n-1]")
+        check_int(self.k_rule, "k_rule must be 'n-1', 'n/5' or an integer in [2, n-1]",
+                  2, self.n - 1)
+        return int(self.k_rule)
 
     def resolve_lam(self, k: int) -> float:
         if self.lam_rule == "k/n":
             return k / self.n
-        if isinstance(self.lam_rule, (int, float)) and self.lam_rule >= 0:
-            return float(self.lam_rule)
-        raise ValidationError("lam_rule must be 'k/n' or a non-negative real")
+        if self.lam_rule < 0:
+            raise ValidationError(f"lam_rule must be non-negative, got {self.lam_rule!r}")
+        return float(self.lam_rule)
 
 
 def scenario_spec(scenario_id: int, n: int, reps: int, p: float, seed: int) -> ScenarioSpec:

@@ -18,6 +18,8 @@ from .errors import (
     InvalidKError,
     NonPositiveThresholdError,
     ValidationError,
+    check_int,
+    check_real,
 )
 
 __all__ = [
@@ -196,8 +198,7 @@ def exceedances(ordered: OrderedSample, k: int, log_scale: bool = False) -> Surv
     the log scale, which requires a strictly positive threshold.
     """
     n = ordered.n
-    if not isinstance(k, (int, np.integer)) or not (1 <= k <= n - 1):
-        raise InvalidKError(f"k must be an integer in [1, {n - 1}], got {k!r}")
+    check_int(k, f"k must be an integer in [1, {n - 1}]", 1, n - 1, InvalidKError)
     threshold = float(ordered.sorted_times[n - k - 1])
     top_t = ordered.sorted_times[n - k:]
     top_e = ordered.concomitant_events[n - k:]
@@ -219,8 +220,7 @@ def apply_insufficiency(sample: SurvivalSample, fraction: float) -> SurvivalSamp
     withheld.  ``fraction`` = 0 returns the sample unchanged.  Times are
     untouched, so repeated application with the same fraction is idempotent.
     """
-    if not (0.0 <= fraction < 1.0):
-        raise ValidationError(f"fraction must lie in [0, 1), got {fraction}")
+    check_real(fraction, "fraction must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)
     n = sample.n
     m = snap_ceil(fraction * n)
     if m == 0:

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import TransformDomainError
+from .errors import TransformDomainError, check_real
 
 __all__ = ["PlottingModel", "s_transform", "norm_quantile"]
 
@@ -158,8 +158,8 @@ def s_transform(model: PlottingModel, t: float) -> float:
     """
     if not isinstance(model, PlottingModel):
         raise TransformDomainError(f"unknown plotting model {model!r}")
-    if not (isinstance(t, (int, float, np.floating)) and np.isfinite(t)) or not (0.0 < t < 1.0):
-        raise TransformDomainError(f"transform argument must lie in (0, 1), got {t!r}")
+    check_real(t, "transform argument must lie in (0, 1)", lambda v: 0.0 < v < 1.0,
+               TransformDomainError)
     return float(_s_values(model, np.asarray([t], dtype=float))[0])
 
 

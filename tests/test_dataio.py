@@ -467,6 +467,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {argv[3]} must be at most {MAX_SIZE}, got {MAX_SIZE + 1}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "pareto", "--k", "abc"],
+        ["fit", "--model", "pareto", "--k", "20", "--lambda", "abc"],
+        ["stress", "--fractions", "0.1,x"],
+        ["fit", "--model", "pareto", "--k", "20", "--tol", "inf"],
+    ])
+    def test_unparsable_value_exit_code(self, demo_csv, capsys, argv):
+        code = main([argv[0], "--input", demo_csv, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_fractional_k_rounds_down(self, demo_csv, capsys):
+        # 0.333 * 400 = 133.2 is no float-dust integer, so the floor applies
+        payload = self.fit_json(capsys, ["fit", "--input", demo_csv, "--model", "pareto",
+                                         "--k", "0.333"])
+        assert payload["k"] == 133 and payload["lambda"] == 133 / 400
+
     # --- the README's command-line examples, pinned byte for byte -------------
 
     @pytest.fixture(scope="class")

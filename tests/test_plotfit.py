@@ -13,6 +13,7 @@ from curetail import (
     PlottingModel,
     SurvivalSample,
     ValidationError,
+    fit_estimate,
     gof_series,
     km_fit,
     order_sample,
@@ -241,6 +242,11 @@ class TestPpFit:
         o, c = prepared(np.random.default_rng(1))
         with pytest.raises(ValidationError):
             pp_fit(o, c, FitConfig(k=10))
+
+    def test_estimator_needs_config(self):
+        o, c = prepared(np.random.default_rng(1))
+        with pytest.raises(ValidationError, match="requires a fit configuration"):
+            fit_estimate("weibull", o, c, None)
 
     def test_config_validation(self):
         with pytest.raises(InvalidKError):

@@ -10,6 +10,7 @@ from curetail import (
     InvalidKError,
     KaplanMeierCurve,
     NonPositiveThresholdError,
+    OrderedSample,
     SurvivalSample,
     ValidationError,
     apply_insufficiency,
@@ -49,6 +50,16 @@ class TestOrdering:
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
             SurvivalSample([-1.0], [1])
+
+
+    def test_malformed_pairs_rejected(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            SurvivalSample([1.0, 2.0], [1])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                SurvivalSample([1.0, bad], [1, 0])
+        with pytest.raises(ValidationError, match="non-decreasing"):
+            OrderedSample([2.0, 1.0], [1, 1])
 
 
 class TestKaplanMeier:
@@ -120,6 +131,8 @@ class TestKaplanMeier:
             KaplanMeierCurve([2.0, 1.0], [0.1, 0.2], [5, 4])
         with pytest.raises(ValidationError):
             KaplanMeierCurve([1.0, 2.0], [0.5, 0.2], [5, 4])
+        with pytest.raises(ValidationError, match="equal length"):
+            KaplanMeierCurve([1.0, 2.0], [0.1, 0.2], [5])
 
 
 class TestExceedances:
@@ -178,6 +191,12 @@ class TestApplyInsufficiency:
         s = SurvivalSample(np.arange(1.0, 101.0), np.ones(100, dtype=int))
         out = apply_insufficiency(s, 0.45)
         assert int(np.sum(out.events == 0)) == 45
+
+    def test_count_rounds_up_between_integers(self):
+        # 0.13 * 50 = 6.5 is no float-dust integer, so the ceiling applies
+        s = SurvivalSample(np.arange(1.0, 51.0), np.ones(50, dtype=int))
+        out = apply_insufficiency(s, 0.13)
+        assert_array_equal(out.events, np.r_[np.ones(43, dtype=int), np.zeros(7, dtype=int)])
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)

@@ -66,6 +66,10 @@ class TestSTransform:
                 with pytest.raises(TransformDomainError):
                     s_transform(model, bad)
 
+    def test_unknown_model(self):
+        with pytest.raises(TransformDomainError, match="unknown plotting model"):
+            s_transform("pareto", 0.5)
+
 
 class TestNormQuantile:
     def test_median(self):
