@@ -30,7 +30,6 @@ from .plotfit import (
     FitConfig,
     PlotSeries,
     gof_series,
-    p_benchmark,
     pp_fit,
     pp_loss,
 )
@@ -59,6 +58,7 @@ from .survival import (
     km_eval,
     km_fit,
     order_sample,
+    p_benchmark,
 )
 from .transforms import PlottingModel, norm_quantile, s_transform
 

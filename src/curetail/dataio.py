@@ -22,8 +22,8 @@ from .errors import (
     check_real,
 )
 from .estimators import fit_estimate
-from .plotfit import FitConfig, p_benchmark
-from .survival import SurvivalSample, apply_insufficiency, km_fit, order_sample
+from .plotfit import FitConfig
+from .survival import SurvivalSample, apply_insufficiency, km_fit, order_sample, p_benchmark
 
 __all__ = [
     "parse_dataset",

@@ -10,9 +10,9 @@ import math
 from dataclasses import replace
 
 from .errors import DegenerateExceedancesError, ValidationError
-from .plotfit import FitConfig, PlotSeries, gof_series, p_benchmark, pp_fit
+from .plotfit import FitConfig, PlotSeries, gof_series, pp_fit
 from .potfit import PotDomain, pot_fit, pot_gof_series
-from .survival import KaplanMeierCurve, OrderedSample
+from .survival import KaplanMeierCurve, OrderedSample, p_benchmark
 from .transforms import PlottingModel
 
 __all__ = ["ESTIMATOR_NAMES", "MODEL_NAMES", "check_name", "fit_estimate", "fit_fields",

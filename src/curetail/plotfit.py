@@ -19,12 +19,11 @@ from .errors import (
     DegenerateRegressorError,
     InfeasiblePError,
     InvalidKError,
-    NonPositiveThresholdError,
     ValidationError,
     check_int,
     check_real,
 )
-from .survival import KaplanMeierCurve, OrderedSample, km_eval
+from .survival import KaplanMeierCurve, OrderedSample, p_benchmark, top_tail
 from .transforms import PlottingModel, _s_values
 
 __all__ = [
@@ -112,31 +111,6 @@ class PlotSeries:
     model: object
     k: int
     dropped: int = 0
-
-
-def p_benchmark(curve: KaplanMeierCurve, ordered: OrderedSample) -> float:
-    """Product-limit estimate at the largest observation.
-
-    Equals 1 exactly when the largest observation is an uncensored event,
-    and 0 when the sample has no events at all.
-    """
-    return float(km_eval(curve, float(ordered.sorted_times[-1])))
-
-
-def _top_slice(ordered: OrderedSample, curve: KaplanMeierCurve, k: int):
-    """Threshold, top-k times (ascending) and their curve values.
-
-    The plot regressors are log-times over the threshold, so it must be
-    positive."""
-    n = ordered.n
-    check_int(k, f"k must be an integer in [2, {n - 1}]", 2, n - 1, InvalidKError)
-    threshold = float(ordered.sorted_times[n - k - 1])
-    if threshold <= 0.0:
-        raise NonPositiveThresholdError("plot regressors need a positive threshold")
-    z_top = ordered.sorted_times[n - k:]
-    f_top = km_eval(curve, z_top)
-    f_thr = float(km_eval(curve, threshold))
-    return threshold, z_top, f_top, f_thr
 
 
 def _check_lam(lam) -> None:
@@ -257,17 +231,17 @@ def profile_levels(levels, k: int, terms):
     return loss, slope, k - kept
 
 
-def _plot_terms(model, f_top, f_thr, x, lam, p_n):
+def _plot_terms(model, tail, x, lam):
     """Plot-fit rows for ``profile_levels``: y = s(1 - F/p) - s_thr against x.
 
     The transform runs once per distinct curve value, with the threshold
     as one more column; the curve is constant between event times.
     """
-    f_dist, gather = _distinct(f_top, costly=model is PlottingModel.LOGNORMAL)
-    f_cols = np.append(f_dist, f_thr)
+    f_dist, gather = _distinct(tail.f_top, costly=model is PlottingModel.LOGNORMAL)
+    f_cols = np.append(f_dist, tail.f_thr)
 
     def terms(p):
-        penalty = lam * (p - p_n) ** 2
+        penalty = lam * (p - tail.p_n) ** 2
         # one buffer of transform arguments, the threshold in the last column
         args = f_cols / p[:, None]
         np.subtract(1.0, args, out=args)
@@ -438,15 +412,16 @@ def pp_loss(model, ordered, curve, k, slope, p, lam, p_n=None):
     are dropped; an inadmissible threshold transform drops every term,
     leaving only the penalty.
     """
-    threshold, z_top, f_top, f_thr = _top_slice(ordered, curve, k)
-    if p_n is None:
-        p_n = p_benchmark(curve, ordered)
+    tail = top_tail(ordered, curve, k)
+    x = tail.excesses(log_scale=True)
+    p_n = tail.p_n if p_n is None else p_n
+    check_real(p_n, "p_n must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     _check_level(p, "p", InfeasiblePError, p_n)
     _check_lam(lam)
-    x = np.log(z_top) - math.log(threshold)
+    check_real(slope, "slope must be a finite real")
     penalty = lam * (p - p_n) ** 2
-    t_top = 1.0 - f_top / p
-    t_thr = np.float64(1.0 - f_thr / p)
+    t_top = 1.0 - tail.f_top / p
+    t_thr = np.float64(1.0 - tail.f_thr / p)
     keep, _ = _term_masks(model, t_top, t_thr)
     if not keep.any():
         return penalty
@@ -466,14 +441,12 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
     if config.model is None:
         raise ValidationError("FitConfig.model must be set for a plot fit")
     model = config.model
-    threshold, z_top, f_top, f_thr = _top_slice(ordered, curve, config.k)
-    x = np.log(z_top) - math.log(threshold)
+    tail = top_tail(ordered, curve, config.k)
+    x = tail.excesses(log_scale=True)
     if not np.any(x > 0):
         raise DegenerateRegressorError("top k+1 observations coincide; no slope identifiable")
-    p_n = p_benchmark(curve, ordered)
-    lam = config.resolved_lam(ordered.n)
-
-    terms = _plot_terms(model, f_top, f_thr, x, lam, p_n)
+    p_n = tail.p_n
+    terms = _plot_terms(model, tail, x, config.resolved_lam(ordered.n))
     p_hat, (loss, slope, skipped) = minimize_on_interval(
         lambda p: profile_levels(p, config.k, terms), p_n, 1.0,
         config.p_grid_resolution, config.refine_tolerance, width=_chunk_rows(config.k),
@@ -488,10 +461,11 @@ def gof_series(model, ordered, curve, k, p_hat) -> PlotSeries:
     counted.  ``p_hat`` may sit anywhere in (0, 1]; diagnostic use does not
     require feasibility beyond that.
     """
-    threshold, z_top, f_top, _ = _top_slice(ordered, curve, k)
+    tail = top_tail(ordered, curve, k)
+    tail.excesses(log_scale=True)  # refuses a non-positive threshold, as the fits do
     _check_level(p_hat, "p", InfeasiblePError)
-    t_top = 1.0 - f_top / p_hat
+    t_top = 1.0 - tail.f_top / p_hat
     keep = _admissible(model, t_top)
-    x = np.log(z_top[keep])
+    x = np.log(tail.times[keep])
     y = _s_values(model, t_top[keep])
-    return PlotSeries(x, y, model, int(k), int(k - np.count_nonzero(keep)))
+    return PlotSeries(x, y, model, tail.k, tail.k - int(np.count_nonzero(keep)))

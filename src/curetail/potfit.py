@@ -31,7 +31,6 @@ from .plotfit import (
     _chunk_rows,
     _distinct,
     minimize_on_interval,
-    p_benchmark,
     profile_levels,
 )
 from .survival import (
@@ -40,6 +39,7 @@ from .survival import (
     exceedances,
     km_eval,
     km_fit,
+    top_tail,
 )
 from .transforms import PlottingModel
 
@@ -87,6 +87,8 @@ def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
         raise ValidationError("exceedance_values must be a non-empty 1-d array")
     check_real(scale, "scale must be a positive real", lambda v: v > 0)
     _check_lam(lam)
+    check_real(p_n, "p_n must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    check_real(p_k, "p_k must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     lower = float(exc_curve.cdf_values[-1]) if exc_curve.jump_times.size else 0.0
     _check_level(pi, "pi", InfeasiblePiError, lower)
     f_k = np.asarray(km_eval(exc_curve, e))
@@ -100,7 +102,17 @@ def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
     return float(r @ r) + penalty
 
 
-def _pot_terms(e, f_k, lam, p_n, p_k):
+def _exceedance_curve(ordered, tail, domain):
+    """The tail record's excesses (log excesses for Frechet), their
+    product-limit curve and its values at them."""
+    if not isinstance(domain, PotDomain):
+        raise ValidationError(f"unknown exceedance domain {domain!r}")
+    exc = exceedances(ordered, tail.k, log_scale=domain is PotDomain.FRECHET)
+    exc_curve = km_fit(exc)
+    return exc.times, exc_curve, np.asarray(km_eval(exc_curve, exc.times))
+
+
+def _pot_terms(e, f_k, lam, tail):
     """Exceedance-fit rows for ``profile_levels``: e against w = log(1 - F/pi).
 
     The profiled slope is minus the scale.  The logarithm runs once per
@@ -117,8 +129,8 @@ def _pot_terms(e, f_k, lam, p_n, p_k):
         if gather is not None:
             w = w.take(gather, axis=1)
             keep = keep.take(gather, axis=1)
-        p = 1.0 - (1.0 - pi) * p_k
-        return w, e, None if all_kept else keep, lam * (p - p_n) ** 2
+        p = 1.0 - (1.0 - pi) * tail.p_k
+        return w, e, None if all_kept else keep, lam * (p - tail.p_n) ** 2
 
     return terms
 
@@ -135,24 +147,15 @@ def pot_fit(
     the conditional level is found by dense grid plus golden-section
     refinement over its feasible interval, smallest level winning ties.
     """
-    if not isinstance(domain, PotDomain):
-        raise ValidationError(f"unknown exceedance domain {domain!r}")
-    exc = exceedances(ordered, config.k, log_scale=domain is PotDomain.FRECHET)
-    e = exc.times
+    tail = top_tail(ordered, curve, config.k)
+    e, exc_curve, f_k = _exceedance_curve(ordered, tail, domain)
     if float(e.max()) <= 0.0:
         raise DegenerateExceedancesError("all exceedances are zero")
-    exc_curve = km_fit(exc)
     if exc_curve.jump_times.size == 0:
         raise DegenerateExceedancesError("no events among the top k observations")
-    f_k = np.asarray(km_eval(exc_curve, e))
-    n = ordered.n
-    threshold = float(ordered.sorted_times[n - config.k - 1])
-    p_k = 1.0 - float(km_eval(curve, threshold))
-    p_n = p_benchmark(curve, ordered)
-    lam = config.resolved_lam(n)
     pi_lower = float(exc_curve.cdf_values[-1])
 
-    terms = _pot_terms(e, f_k, lam, p_n, p_k)
+    terms = _pot_terms(e, f_k, config.resolved_lam(ordered.n), tail)
     pi_hat, (loss, slope, skipped) = minimize_on_interval(
         lambda pi: profile_levels(pi, config.k, terms), pi_lower, 1.0,
         config.p_grid_resolution, config.refine_tolerance, width=_chunk_rows(config.k),
@@ -164,10 +167,10 @@ def pot_fit(
         scale = math.nan
     elif not boundary and not (math.isfinite(scale) and scale > 0.0):
         raise DegenerateExceedancesError("exceedance fit collapsed to a non-positive scale")
-    p_raw = 1.0 - (1.0 - pi_hat) * p_k
+    p_raw = 1.0 - (1.0 - pi_hat) * tail.p_k
     clipped = not (0.0 <= p_raw <= 1.0)
     p_hat = min(max(p_raw, 0.0), 1.0)
-    return PotFit(scale, pi_hat, p_hat, p_k, loss, config.k, clipped, skipped, boundary)
+    return PotFit(scale, pi_hat, p_hat, tail.p_k, loss, config.k, clipped, skipped, boundary)
 
 
 def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
@@ -176,16 +179,12 @@ def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
     A straight diagonal indicates the exceedance model fits.  Points whose
     quantile argument hits the boundary are dropped and counted.
     """
-    if not isinstance(domain, PotDomain):
-        raise ValidationError(f"unknown exceedance domain {domain!r}")
     _check_level(pi_hat, "pi", InfeasiblePiError)
     check_real(scale_hat, "scale must be a positive real", lambda v: v > 0)
-    exc = exceedances(ordered, k, log_scale=domain is PotDomain.FRECHET)
-    e = exc.times
-    exc_curve = km_fit(exc)
-    f_k = np.asarray(km_eval(exc_curve, e))
+    tail = top_tail(ordered, curve, k)
+    e, _, f_k = _exceedance_curve(ordered, tail, domain)
     arg = 1.0 - f_k / pi_hat
     keep = _admissible(PlottingModel.PARETO, arg)
     x = e[keep]
     y = -scale_hat * np.log(arg[keep])
-    return PlotSeries(x, y, domain, int(k), int(k - np.count_nonzero(keep)))
+    return PlotSeries(x, y, domain, tail.k, tail.k - int(np.count_nonzero(keep)))

@@ -151,7 +151,8 @@ class ScenarioSpec:
         check_int(self.seed, "seed must be a non-negative integer", 0)
         self.resolve_k()
         if self.lam_rule != "k/n":
-            check_real(self.lam_rule, "lam_rule must be 'k/n' or a finite real")
+            check_real(self.lam_rule, "lam_rule must be 'k/n' or a finite non-negative real",
+                       lambda v: v >= 0)
 
     def resolve_k(self) -> int:
         if self.k_rule == "n-1":
@@ -165,8 +166,6 @@ class ScenarioSpec:
     def resolve_lam(self, k: int) -> float:
         if self.lam_rule == "k/n":
             return k / self.n
-        if self.lam_rule < 0:
-            raise ValidationError(f"lam_rule must be non-negative, got {self.lam_rule!r}")
         return float(self.lam_rule)
 
 

@@ -29,6 +29,9 @@ __all__ = [
     "order_sample",
     "km_fit",
     "km_eval",
+    "TopTail",
+    "top_tail",
+    "p_benchmark",
     "exceedances",
     "apply_insufficiency",
     "snap_ceil",
@@ -179,15 +182,72 @@ def km_eval(curve: KaplanMeierCurve, t):
     the final value.
     """
     t_arr = np.asarray(t, dtype=float)
-    if curve.jump_times.size == 0:
-        out = np.zeros_like(t_arr)
-    else:
-        idx = np.searchsorted(curve.jump_times, t_arr, side="right")
-        padded = np.concatenate(([0.0], curve.cdf_values))
-        out = padded[idx]
+    # a curve without jumps pads to [0.0], which every index reads
+    idx = np.searchsorted(curve.jump_times, t_arr, side="right")
+    out = np.concatenate(([0.0], curve.cdf_values))[idx]
     if t_arr.ndim == 0:
         return float(out)
     return out
+
+
+@dataclass(frozen=True)
+class TopTail:
+    """The top k order statistics of one sample, read by every fit.
+
+    ``threshold`` is the (k+1)-th largest time; ``times`` holds the k
+    largest times in increasing order and ``events`` their indicators.
+    ``f_top`` and ``f_thr`` are the product-limit curve at ``times`` and at
+    the threshold, ``p_k = 1 - f_thr`` the estimated probability of
+    exceeding the threshold, and ``p_n`` the curve at the largest time, the
+    benchmark estimate.
+    """
+
+    k: int
+    threshold: float
+    times: np.ndarray
+    events: np.ndarray
+    f_top: np.ndarray
+    f_thr: float
+    p_k: float
+    p_n: float
+
+    def excesses(self, log_scale: bool = False) -> np.ndarray:
+        """Excesses of ``times`` over the threshold; see :func:`exceedances`."""
+        return _excesses(self.threshold, self.times, log_scale)
+
+
+def _top(ordered: OrderedSample, k: int, least: int):
+    """The k + 1 largest times, threshold first, and the indicators of the k
+    largest; k must lie in [least, n - 1]."""
+    n = ordered.n
+    check_int(k, f"k must be an integer in [{least}, {n - 1}]", least, n - 1, InvalidKError)
+    return ordered.sorted_times[n - k - 1:], ordered.concomitant_events[n - k:]
+
+
+def _excesses(threshold: float, times: np.ndarray, log_scale: bool) -> np.ndarray:
+    if not log_scale:
+        return times - threshold
+    if threshold <= 0.0:
+        raise NonPositiveThresholdError(f"log excesses need a positive threshold, got {threshold}")
+    return np.log(times) - math.log(threshold)
+
+
+def top_tail(ordered: OrderedSample, curve: KaplanMeierCurve, k: int) -> TopTail:
+    """The tail record of ``ordered`` for k in [2, n - 1], with ``curve``
+    its product-limit curve."""
+    top, events = _top(ordered, k, 2)
+    f = _frozen(km_eval(curve, top))
+    f_thr = float(f[0])
+    return TopTail(int(k), float(top[0]), top[1:], events, f[1:], f_thr, 1.0 - f_thr, float(f[-1]))
+
+
+def p_benchmark(curve: KaplanMeierCurve, ordered: OrderedSample) -> float:
+    """Product-limit estimate at the largest observation.
+
+    Equals 1 exactly when the largest observation is an uncensored event,
+    and 0 when the sample has no events at all.
+    """
+    return float(km_eval(curve, float(ordered.sorted_times[-1])))
 
 
 def exceedances(ordered: OrderedSample, k: int, log_scale: bool = False) -> SurvivalSample:
@@ -197,20 +257,8 @@ def exceedances(ordered: OrderedSample, k: int, log_scale: bool = False) -> Surv
     originating observations.  With ``log_scale`` the excesses are taken on
     the log scale, which requires a strictly positive threshold.
     """
-    n = ordered.n
-    check_int(k, f"k must be an integer in [1, {n - 1}]", 1, n - 1, InvalidKError)
-    threshold = float(ordered.sorted_times[n - k - 1])
-    top_t = ordered.sorted_times[n - k:]
-    top_e = ordered.concomitant_events[n - k:]
-    if log_scale:
-        if threshold <= 0.0:
-            raise NonPositiveThresholdError(
-                f"log-scale exceedances need threshold > 0, got {threshold}"
-            )
-        values = np.log(top_t) - math.log(threshold)
-    else:
-        values = top_t - threshold
-    return SurvivalSample(values, top_e)
+    top, events = _top(ordered, k, 1)
+    return SurvivalSample(_excesses(float(top[0]), top[1:], log_scale), events)
 
 
 def apply_insufficiency(sample: SurvivalSample, fraction: float) -> SurvivalSample:

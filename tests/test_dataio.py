@@ -378,6 +378,13 @@ class TestCli:
         assert code == 3
         assert "error:" in captured.err
 
+    def test_zero_threshold_gof_exit_code(self, tmp_path, capsys):
+        p = write_csv(tmp_path / "z.csv", "time,status\n0,1\n0,1\n0,1\n0,0\n1,1\n2,1\n3,0\n")
+        code = main(["gof", "--input", p, "--model", "pareto", "--k", "4"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: log excesses need a positive threshold, got 0.0\n"
+
     def test_negative_seed_exit_code(self, capsys):
         code = main(["simulate", "--scenario", "2", "--n", "60", "--reps", "2", "--p", "0.8",
                      "--seed", "-1", "--estimators", "pn"])

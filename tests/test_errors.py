@@ -36,6 +36,7 @@ from curetail import (
     order_sample,
     pot_gof_series,
     pot_loss,
+    pp_loss,
     s_transform,
     stress_sweep,
 )
@@ -63,15 +64,24 @@ SITES = [
     ("FitConfig.refine_tolerance", lambda v: FitConfig(k=10, refine_tolerance=v), "real",
      [0.25, 1], ValidationError),
     ("FitConfig.lam", lambda v: FitConfig(k=10, lam=v), "real", [0.5, 1], ValidationError),
-    ("plotfit._top_slice k", lambda v: gof_series(PlottingModel.PARETO, ORDERED, CURVE, v, 1.0),
+    ("survival.top_tail k", lambda v: gof_series(PlottingModel.PARETO, ORDERED, CURVE, v, 1.0),
      "int", [10], InvalidKError),
     ("plotfit._check_level p", lambda v: gof_series(PlottingModel.PARETO, ORDERED, CURVE, 10, v),
      "real", [0.5, 1], InfeasiblePError),
     ("plotfit._check_level pi",
      lambda v: pot_gof_series(ORDERED, CURVE, PotDomain.GUMBEL, 20, v, 1.5),
      "real", [0.5, 1], InfeasiblePiError),
+    ("pp_loss slope", lambda v: pp_loss(PlottingModel.PARETO, ORDERED, CURVE, 10, v, 1.0, 0.0),
+     "real", [1.5, 2], ValidationError),
+    ("pp_loss p_n",
+     lambda v: pp_loss(PlottingModel.PARETO, ORDERED, CURVE, 10, 1.5, 1.0, 0.5, v),
+     "real", [0.5, 1], ValidationError),
     ("pot_loss scale", lambda v: pot_loss(EXC_CURVE, EXC.times, v, 1.0, 0.0, 0.5, 0.5), "real",
      [1.5, 2], ValidationError),
+    ("pot_loss p_n", lambda v: pot_loss(EXC_CURVE, EXC.times, 1.5, 1.0, 0.5, v, 0.5), "real",
+     [0.5, 1], ValidationError),
+    ("pot_loss p_k", lambda v: pot_loss(EXC_CURVE, EXC.times, 1.5, 1.0, 0.5, 0.5, v), "real",
+     [0.5, 0], ValidationError),
     ("pot_gof_series scale",
      lambda v: pot_gof_series(ORDERED, CURVE, PotDomain.GUMBEL, 20, 1.0, v),
      "real", [1.5, 2], ValidationError),

@@ -26,7 +26,6 @@ from curetail import (
     km_eval,
     km_fit,
     order_sample,
-    p_benchmark,
     pot_fit,
     pot_loss,
     pp_fit,
@@ -39,11 +38,11 @@ from curetail.plotfit import (
     _distinct,
     _golden_min,
     _plot_terms,
-    _top_slice,
     minimize_on_interval,
     profile_levels,
 )
 from curetail.potfit import _pot_terms
+from curetail.survival import top_tail
 
 RTOL = 1e-11
 K_VALUES = (3, 40, 399)
@@ -98,10 +97,9 @@ def plot_skipped(model, f_top, f_thr, p):
 class PlotCase:
     def __init__(self, model, ordered, curve, k, lam):
         self.model, self.ordered, self.curve, self.k, self.lam = model, ordered, curve, k, lam
-        threshold, z_top, self.f_top, self.f_thr = _top_slice(ordered, curve, k)
-        x = np.log(z_top) - math.log(threshold)
-        self.p_n = p_benchmark(curve, ordered)
-        self.terms = _plot_terms(model, self.f_top, self.f_thr, x, lam, self.p_n)
+        tail = top_tail(ordered, curve, k)
+        self.f_top, self.f_thr, self.p_n = tail.f_top, tail.f_thr, tail.p_n
+        self.terms = _plot_terms(model, tail, tail.excesses(log_scale=True), lam)
 
     def run(self, levels):
         return profile_levels(np.asarray(levels, dtype=float), self.k, self.terms)
@@ -117,13 +115,12 @@ class PotCase:
         self.e = exc.times
         self.exc_curve = km_fit(exc)
         self.f_k = np.asarray(km_eval(self.exc_curve, self.e))
-        threshold = float(ordered.sorted_times[ordered.n - k - 1])
-        self.p_k = 1.0 - float(km_eval(curve, threshold))
-        self.p_n = p_benchmark(curve, ordered)
+        tail = top_tail(ordered, curve, k)
+        self.p_k, self.p_n = tail.p_k, tail.p_n
         self.k, self.lam = k, lam
         events = self.exc_curve.jump_times.size > 0
         self.pi_lower = float(self.exc_curve.cdf_values[-1]) if events else 1.0
-        self.terms = _pot_terms(self.e, self.f_k, lam, self.p_n, self.p_k)
+        self.terms = _pot_terms(self.e, self.f_k, lam, tail)
 
     def run(self, levels):
         return profile_levels(np.asarray(levels, dtype=float), self.k, self.terms)

@@ -237,6 +237,14 @@ class TestPpFit:
         c = km_fit(o)
         with pytest.raises(NonPositiveThresholdError):
             pp_fit(o, c, FitConfig(k=10, model=PlottingModel.PARETO))
+        with pytest.raises(NonPositiveThresholdError):
+            pp_loss(PlottingModel.PARETO, o, c, 10, 1.0, 1.0, 0.0)
+        with pytest.raises(NonPositiveThresholdError):
+            gof_series(PlottingModel.PARETO, o, c, 10, 0.9)
+        # censored, with a zero time inside the top k
+        o = order_sample(SurvivalSample([0, 0, 0, 0, 1, 2, 3], [1, 1, 1, 0, 1, 1, 0]))
+        with pytest.raises(NonPositiveThresholdError):
+            gof_series(PlottingModel.PARETO, o, km_fit(o), 4, 0.9)
 
     def test_model_required(self):
         o, c = prepared(np.random.default_rng(1))

@@ -185,18 +185,17 @@ class TestScenarioSpec:
             lam_rule=0.25,
         )
         assert spec2.resolve_lam(10) == 0.25
-        spec3 = ScenarioSpec(
-            scenario_id="x",
-            susceptible=Exponential(),
-            censoring=UniformCensoring(0, 3),
-            p=0.5,
-            n=50,
-            reps=1,
-            seed=0,
-            lam_rule=-1.0,
-        )
         with pytest.raises(ValidationError):
-            spec3.resolve_lam(10)
+            ScenarioSpec(
+                scenario_id="x",
+                susceptible=Exponential(),
+                censoring=UniformCensoring(0, 3),
+                p=0.5,
+                n=50,
+                reps=1,
+                seed=0,
+                lam_rule=-1.0,
+            )
 
     def test_domain_checks(self):
         for bad in (dict(p=0.0), dict(p=1.0), dict(n=9), dict(reps=0), dict(seed=-1),

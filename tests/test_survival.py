@@ -1,10 +1,14 @@
-"""Ordering, product-limit curve, exceedances and the stress operator."""
+"""Ordering, product-limit curve, tail record, exceedances and the stress operator."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import km_direct
 
+import curetail
 from curetail import (
     EmptySampleError,
     InvalidKError,
@@ -18,7 +22,9 @@ from curetail import (
     km_eval,
     km_fit,
     order_sample,
+    p_benchmark,
 )
+from curetail.survival import top_tail
 
 
 class TestOrdering:
@@ -172,6 +178,38 @@ class TestExceedances:
         assert c.cdf_values[-1] < 1.0
 
 
+class TestTopTail:
+    def test_fields_from_definitions(self):
+        o = order_sample(SurvivalSample([1.0, 3.0, 7.0, 10.0, 2.0], [1, 1, 0, 1, 0]))
+        c = km_fit(o)
+        tail = top_tail(o, c, 3)
+        assert (tail.k, tail.threshold) == (3, 2.0)
+        assert_array_equal(tail.times, [3.0, 7.0, 10.0])
+        assert_array_equal(tail.events, [1, 0, 1])
+        assert_array_equal(tail.f_top, km_eval(c, [3.0, 7.0, 10.0]))
+        assert tail.f_thr == km_eval(c, 2.0) and tail.p_k == 1.0 - tail.f_thr
+        assert tail.p_n == p_benchmark(c, o) == 1.0
+        assert not tail.f_top.flags.writeable
+        for log_scale in (False, True):
+            exc = exceedances(o, 3, log_scale=log_scale)
+            assert_array_equal(tail.excesses(log_scale), exc.times)
+            assert_array_equal(tail.events, exc.events)
+
+    def test_k_range(self):
+        o = order_sample(SurvivalSample([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1]))
+        for k in (1, 4):
+            with pytest.raises(InvalidKError, match=r"k must be an integer in \[2, 3\]"):
+                top_tail(o, km_fit(o), k)
+
+    def test_zero_threshold(self):
+        o = order_sample(SurvivalSample([0.0, 0.0, 1.0, 2.0], [1, 0, 1, 1]))
+        tail = top_tail(o, km_fit(o), 2)
+        assert_array_equal(tail.excesses(), [1.0, 2.0])
+        with pytest.raises(NonPositiveThresholdError,
+                           match="log excesses need a positive threshold, got 0.0"):
+            tail.excesses(log_scale=True)
+
+
 class TestApplyInsufficiency:
     def test_zero_fraction_is_identity(self):
         s = SurvivalSample([1.0, 2.0, 3.0], [1, 1, 0])
@@ -220,3 +258,29 @@ class TestApplyInsufficiency:
         for bad in (1.0, -0.1, 2.0):
             with pytest.raises(ValidationError):
                 apply_insufficiency(s, bad)
+
+
+# --- guard: the sorted sample is sliced in survival.py only -----------------
+
+SORTED_FIELDS = {"sorted_times", "concomitant_events"}
+
+
+def sorted_subscripts(source: str):
+    """Lines that subscript ``.sorted_times`` or ``.concomitant_events``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                  and node.value.attr in SORTED_FIELDS)
+
+
+def test_guard_sees_a_slice():
+    source = ("a = o.sorted_times[n - k - 1]\nb = f(o.concomitant_events[n - k:])\n"
+              "c = o.sorted_times\n")
+    assert sorted_subscripts(source) == [1, 2]
+
+
+def test_sorted_sample_sliced_in_survival_only():
+    package = Path(curetail.__file__).parent
+    offenders = [f"{path.name}:{line}"
+                 for path in sorted(package.glob("*.py")) if path.name != "survival.py"
+                 for line in sorted_subscripts(path.read_text())]
+    assert offenders == []
