@@ -102,12 +102,12 @@ def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
     return float(r @ r) + penalty
 
 
-def _exceedance_curve(ordered, tail, domain):
-    """The tail record's excesses (log excesses for Frechet), their
-    product-limit curve and its values at them."""
+def _exceedance_curve(ordered, k, domain):
+    """Excesses of the top k (log excesses for Frechet), their product-limit
+    curve and its values at them."""
     if not isinstance(domain, PotDomain):
         raise ValidationError(f"unknown exceedance domain {domain!r}")
-    exc = exceedances(ordered, tail.k, log_scale=domain is PotDomain.FRECHET)
+    exc = exceedances(ordered, k, log_scale=domain is PotDomain.FRECHET)
     exc_curve = km_fit(exc)
     return exc.times, exc_curve, np.asarray(km_eval(exc_curve, exc.times))
 
@@ -147,12 +147,12 @@ def pot_fit(
     the conditional level is found by dense grid plus golden-section
     refinement over its feasible interval, smallest level winning ties.
     """
-    tail = top_tail(ordered, curve, config.k)
-    e, exc_curve, f_k = _exceedance_curve(ordered, tail, domain)
+    e, exc_curve, f_k = _exceedance_curve(ordered, config.k, domain)
     if float(e.max()) <= 0.0:
         raise DegenerateExceedancesError("all exceedances are zero")
     if exc_curve.jump_times.size == 0:
         raise DegenerateExceedancesError("no events among the top k observations")
+    tail = top_tail(ordered, curve, config.k)
     pi_lower = float(exc_curve.cdf_values[-1])
 
     terms = _pot_terms(e, f_k, config.resolved_lam(ordered.n), tail)
@@ -182,7 +182,7 @@ def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
     _check_level(pi_hat, "pi", InfeasiblePiError)
     check_real(scale_hat, "scale must be a positive real", lambda v: v > 0)
     tail = top_tail(ordered, curve, k)
-    e, _, f_k = _exceedance_curve(ordered, tail, domain)
+    e, _, f_k = _exceedance_curve(ordered, tail.k, domain)
     arg = 1.0 - f_k / pi_hat
     keep = _admissible(PlottingModel.PARETO, arg)
     x = e[keep]
