@@ -217,11 +217,12 @@ class TopTail:
 
 
 def _top(ordered: OrderedSample, k: int, least: int):
-    """The k + 1 largest times, threshold first, and the indicators of the k
-    largest; k must lie in [least, n - 1]."""
+    """The threshold (the (k+1)-th largest time), the k largest times and
+    their indicators; k must lie in [least, n - 1]."""
     n = ordered.n
     check_int(k, f"k must be an integer in [{least}, {n - 1}]", least, n - 1, InvalidKError)
-    return ordered.sorted_times[n - k - 1:], ordered.concomitant_events[n - k:]
+    return (float(ordered.sorted_times[n - k - 1]), ordered.sorted_times[n - k:],
+            ordered.concomitant_events[n - k:])
 
 
 def _excesses(threshold: float, times: np.ndarray, log_scale: bool) -> np.ndarray:
@@ -235,10 +236,10 @@ def _excesses(threshold: float, times: np.ndarray, log_scale: bool) -> np.ndarra
 def top_tail(ordered: OrderedSample, curve: KaplanMeierCurve, k: int) -> TopTail:
     """The tail record of ``ordered`` for k in [2, n - 1], with ``curve``
     its product-limit curve."""
-    top, events = _top(ordered, k, 2)
-    f = _frozen(km_eval(curve, top))
-    f_thr = float(f[0])
-    return TopTail(int(k), float(top[0]), top[1:], events, f[1:], f_thr, 1.0 - f_thr, float(f[-1]))
+    threshold, times, events = _top(ordered, k, 2)
+    f_thr = km_eval(curve, threshold)
+    return TopTail(int(k), threshold, times, events, _frozen(km_eval(curve, times)), f_thr,
+                   1.0 - f_thr, p_benchmark(curve, ordered))
 
 
 def p_benchmark(curve: KaplanMeierCurve, ordered: OrderedSample) -> float:
@@ -257,8 +258,8 @@ def exceedances(ordered: OrderedSample, k: int, log_scale: bool = False) -> Surv
     originating observations.  With ``log_scale`` the excesses are taken on
     the log scale, which requires a strictly positive threshold.
     """
-    top, events = _top(ordered, k, 1)
-    return SurvivalSample(_excesses(float(top[0]), top[1:], log_scale), events)
+    threshold, times, events = _top(ordered, k, 1)
+    return SurvivalSample(_excesses(threshold, times, log_scale), events)
 
 
 def apply_insufficiency(sample: SurvivalSample, fraction: float) -> SurvivalSample:
