@@ -24,7 +24,7 @@ from .errors import (
     check_real,
 )
 from .survival import KaplanMeierCurve, OrderedSample, p_benchmark, top_tail
-from .transforms import PlottingModel, _s_values
+from .transforms import PlottingModel, _minus_s_values, _s_values
 
 __all__ = [
     "FitConfig",
@@ -42,14 +42,18 @@ BOUNDARY_EPS = 1e-15
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Most (level, term) elements one profile_levels chunk holds, unless four
-# levels need more; it bounds the grid's chunks and every golden-section
-# refinement call alike.  Larger chunks raise peak memory; smaller ones pay
-# the kernel's fixed per-chunk cost more often.  That cost is about 30-60
-# us for Pareto and Weibull rows (Intel Xeon, numpy 2.4): one level of 100
-# terms costs about as much as two.  At k = 3999 a chunk of two levels
-# took 96-126 us and one of four 127-175 us, so the four-level floor
-# halves a large-k grid's chunks for about a third more time per chunk.
+# Most (level, term) elements one grid chunk of profile_levels, or one
+# golden-section refinement call, holds; a grid chunk takes at least sixteen
+# levels and a refinement call at least four (``_chunk_rows``,
+# ``_golden_width``).  A chunk writes into its fit's ``_Workspace`` and
+# allocates nothing of its size, so a larger chunk only saves the fixed
+# per-chunk cost (about 30-60 us for Pareto and Weibull rows, where one
+# level of 100 terms costs about as much as two).  A wider refinement call
+# also evaluates more tree points that the search never reads.  Measured in
+# process on mc-largek (k = 3999; 2-core Intel Xeon, numpy 2.4; 6 rounds of
+# 5 ops), per op: grid/refinement floors 16/4 took 120 ms, 8/4 took 123 ms,
+# 4/4 took 135 ms and 16/16 took 139 ms.  The sixteen-level floor cuts a
+# fit's grid from 129 chunks to 33 and moves no chunk at k <= 512.
 PROFILE_CHUNK_ELEMENTS = 8192
 
 
@@ -127,31 +131,29 @@ def _check_level(value, label: str, error, lower: float = 0.0) -> None:
         raise error(f"{label} must exceed the feasibility bound {lower}, got {value}")
 
 
-def _admissible(model: PlottingModel, t: np.ndarray) -> np.ndarray:
+def _admissible(model: PlottingModel, t: np.ndarray, out=None) -> np.ndarray:
     """Where the transform arguments ``t = 1 - F/p`` stay clear of the boundary.
 
     The Pareto transform stays finite as its argument reaches 1 (value
     0), so only the lower boundary is guarded there; the other two
-    transforms diverge at both ends.
+    transforms diverge at both ends.  The mask goes to ``out`` when given.
     """
-    ok = t > BOUNDARY_EPS
+    ok = np.greater(t, BOUNDARY_EPS, out=out)
     if model is not PlottingModel.PARETO:
         ok &= t < 1.0 - BOUNDARY_EPS
     return ok
 
 
-def _term_masks(model: PlottingModel, t_top: np.ndarray, t_thr: np.ndarray):
+def _term_masks(model: PlottingModel, t_top: np.ndarray, t_thr: np.ndarray, out=None):
     """Retained-term mask and threshold admissibility.
 
     ``t_top = 1 - F/p`` holds the transform arguments of the top terms and
     ``t_thr`` that of the threshold, a numpy scalar or a column of levels
     that broadcasts against ``t_top``.  An inadmissible threshold drops
-    every term of its level.
+    every term of its level.  The mask goes to ``out`` when given.
     """
     thr_ok = _admissible(model, t_thr)
-    if not thr_ok.any():
-        return np.zeros(t_top.shape, dtype=bool), thr_ok
-    keep = _admissible(model, t_top)
+    keep = _admissible(model, t_top, out)
     if not thr_ok.all():
         keep &= thr_ok
     return keep, thr_ok
@@ -184,23 +186,74 @@ def _rowdot(a: np.ndarray, b: np.ndarray):
 
 def _chunk_rows(k: int) -> int:
     """Levels of ``k`` terms each that one ``profile_levels`` chunk holds."""
+    return max(16, PROFILE_CHUNK_ELEMENTS // k)
+
+
+def _golden_width(k: int) -> int:
+    """Most levels of ``k`` terms each that one refinement call evaluates."""
     return max(4, PROFILE_CHUNK_ELEMENTS // k)
 
 
-def profile_levels(levels, k: int, terms):
+class _Workspace:
+    """Scratch memory for one fit's ``profile_levels`` chunks of ``k`` terms.
+
+    Four float and two boolean buffers of ``rows`` levels by ``k + 1``
+    columns (a plot chunk's transform arguments carry the threshold in one
+    more column), each one flat array that a chunk views in the shape it
+    needs: a C-contiguous row slice, so that a ufunc takes the same loop,
+    and gives the same bits, as on a fresh array.  ``profile_levels`` keeps
+    its masked rows and residual in float buffers 0 and 1; a ``terms``
+    function may use those as scratch but returns its rows in buffers 2
+    and 3, boolean buffers 0 and 1, or outside the workspace.  The
+    workspace belongs to its fit, so fits on several threads never share
+    one.
+    """
+
+    def __init__(self, k: int, rows: int | None = None):
+        self.rows = _chunk_rows(k) if rows is None else rows
+        self._buffers = (np.empty((4, self.rows * (k + 1))),
+                         np.empty((2, self.rows * (k + 1)), dtype=bool))
+        # a search asks for few shapes, and a cached view is cheaper than a new one
+        self._views = {}
+
+    def _view(self, kind: int, i: int, rows: int, cols: int) -> np.ndarray:
+        key = (kind, i, rows, cols)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = self._buffers[kind][i, :rows * cols].reshape(rows, cols)
+        return view
+
+    def floats(self, i: int, rows: int, cols: int) -> np.ndarray:
+        return self._view(0, i, rows, cols)
+
+    def mask(self, i: int, rows: int, cols: int) -> np.ndarray:
+        return self._view(1, i, rows, cols)
+
+
+def _masked(a: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.where(keep, a, 0.0)`` written into ``out``."""
+    out.fill(0.0)
+    np.copyto(out, a, where=keep)
+    return out
+
+
+def profile_levels(levels, k: int, terms, work: _Workspace | None = None):
     """Loss, profiled slope and skipped-term count at each level.
 
     At a fixed level both fit families are a least-squares line through
     the origin on the retained terms, plus a penalty on the level.
-    ``terms(chunk)`` maps a 1-d array of levels to ``(x, y, keep,
+    ``terms(chunk, work)`` maps a 1-d array of levels to ``(x, y, keep,
     penalty)``: regressor and response, each ``(rows, k)`` or ``(k,)`` when
     the same at every level; the ``(rows, k)`` retained-term mask, or None
-    when every term is kept; and the per-level penalty.  ``y`` is not read
-    when no level of the chunk keeps a term.  A level that keeps
-    no term scores its penalty alone with a NaN slope; a retained
-    regressor of zero norm gets slope 0.  Levels are evaluated in chunks of
-    ``_chunk_rows(k)`` levels: at most ``PROFILE_CHUNK_ELEMENTS`` terms,
-    or four levels when k is too large for that.
+    when every term is kept; and the per-level penalty.  The arrays it
+    returns may be views into the workspace ``work``, valid until its next
+    call.  ``y`` is not read when no level of the chunk keeps a term.  A
+    level that keeps no term scores its penalty alone with a NaN slope; a
+    retained regressor of zero norm gets slope 0.  Levels are evaluated in
+    chunks of ``work.rows`` levels, ``_chunk_rows(k)`` for a fit's
+    workspace: at most ``PROFILE_CHUNK_ELEMENTS`` terms, or sixteen levels
+    when k is too large for that.  Without ``work`` the call makes a
+    workspace of its own.
 
     A level's results do not depend on the other levels of the call, bit
     for bit, provided ``terms`` builds each row from its level alone (in
@@ -208,23 +261,27 @@ def profile_levels(levels, k: int, terms):
     time.
     """
     levels = np.asarray(levels, dtype=float)
+    if work is None:
+        work = _Workspace(k, max(1, min(_chunk_rows(k), levels.size)))
     loss = np.empty(levels.size)
     slope = np.full(levels.size, math.nan)
     kept = np.full(levels.size, k)
-    rows = _chunk_rows(k)
-    for start in range(0, levels.size, rows):
-        part = slice(start, start + rows)
-        x, y, keep, penalty = terms(levels[part])
+    for start in range(0, levels.size, work.rows):
+        part = slice(start, start + work.rows)
+        x, y, keep, penalty = terms(levels[part], work)
         loss[part] = penalty
+        rows = penalty.size
         if keep is not None:
             kept[part] = np.count_nonzero(keep, axis=1)
             if not kept[part].any():
                 continue
-            x = np.where(keep, x, 0.0)
-            y = np.where(keep, y, 0.0)
+            x = _masked(x, keep, work.floats(0, rows, k))
+            y = _masked(y, keep, work.floats(1, rows, k))
         sxx = _rowdot(x, x)
-        b = np.divide(_rowdot(x, y), sxx, out=np.zeros(penalty.shape), where=sxx != 0.0)
-        r = y - b[:, None] * x
+        b = np.divide(_rowdot(x, y), sxx, out=np.zeros(rows), where=sxx != 0.0)
+        # b * x goes over x itself when x is the masked copy in buffer 0
+        r = np.multiply(b[:, None], x, out=work.floats(0, rows, k))
+        np.subtract(y, r, out=r)
         loss[part] += _rowdot(r, r)
         slope[part] = b
     slope[kept == 0] = math.nan
@@ -239,30 +296,42 @@ def _plot_terms(model, tail, x, lam):
     """
     f_dist, gather = _distinct(tail.f_top, costly=model is PlottingModel.LOGNORMAL)
     f_cols = np.append(f_dist, tail.f_thr)
+    cols = f_cols.size
 
-    def terms(p):
+    def terms(p, work):
+        rows = p.size
         penalty = lam * (p - tail.p_n) ** 2
         # one buffer of transform arguments, the threshold in the last column
-        args = f_cols / p[:, None]
+        args = np.divide(f_cols, p[:, None], out=work.floats(2, rows, cols))
         np.subtract(1.0, args, out=args)
         t, t_thr = args[:, :-1], args[:, -1:]
-        keep, thr_ok = _term_masks(model, t, t_thr)
+        keep, thr_ok = _term_masks(model, t, t_thr, work.mask(0, rows, cols - 1))
         if keep.all():
             keep = None
         elif not keep.any():
             # e.g. Weibull and log-normal at F(threshold) = 0
             return x, None, keep, penalty
         else:
-            np.copyto(t, 0.5, where=~keep)
+            np.copyto(t, 0.5, where=np.logical_not(keep, out=work.mask(1, rows, cols - 1)))
             np.copyto(t_thr, 0.5, where=~thr_ok)
         # at t_thr == 1 (F(threshold) = 0) only Pareto keeps terms, and -log 1 = 0
-        s = _s_values(model, args)
-        y = s[:, :-1] - s[:, -1:]
+        y = work.floats(3, rows, cols - 1)  # the quantile's scratch until written
+        if model is PlottingModel.WEIBULL:
+            s = _s_values(model, args, out=args)
+            np.subtract(s[:, :-1], s[:, -1:], out=y)
+        else:
+            # s = -u for the other two, and (-u) - (-u_thr) is u_thr - u bit
+            # for bit: IEEE subtraction is symmetric in sign
+            scratch = (work.floats(0, rows, cols), work.floats(1, rows, cols),
+                       work.floats(3, rows, cols))
+            u = _minus_s_values(model, args, out=args, scratch=scratch)
+            np.subtract(u[:, -1:], u[:, :-1], out=y)
         if gather is not None:
             # take() keeps rows C-contiguous; y[:, gather] would not
-            y = y.take(gather, axis=1)
+            y = y.take(gather, axis=1, out=work.floats(2, rows, gather.size), mode="clip")
             if keep is not None:
-                keep = keep.take(gather, axis=1)
+                keep = keep.take(gather, axis=1, out=work.mask(1, rows, gather.size),
+                                 mode="clip")
         return x, y, keep, penalty
 
     return terms
@@ -359,10 +428,12 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     Refines around every local minimum of the grid profile (up to the three
     deepest) with ``_golden_min``, whose calls hold at most ``width``
     points after the first pair of each basin; both fits pass
-    ``_chunk_rows(k)``, so ``PROFILE_CHUNK_ELEMENTS`` bounds the grid's
-    kernel chunks and every refinement call alike.  A wider call trades
-    the fixed cost of a call to ``fun`` against the points it evaluates
-    in vain: one call of ``2**depth - 1`` points serves ``depth`` steps.
+    ``_golden_width(k)``, at least four levels, while their grid call runs
+    in kernel chunks of ``_chunk_rows(k)``, at least sixteen.  The two
+    differ because they trade different costs: a grid chunk evaluates
+    only points the search reads, so larger chunks just save the fixed
+    cost per chunk, but a wider refinement call evaluates more points in
+    vain (one call of ``2**depth - 1`` points serves ``depth`` steps).
     The notch wins when it beats every refined basin.  Ties resolve to
     the smallest argument.
     """
@@ -447,9 +518,10 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
         raise DegenerateRegressorError("top k+1 observations coincide; no slope identifiable")
     p_n = tail.p_n
     terms = _plot_terms(model, tail, x, config.resolved_lam(ordered.n))
+    work = _Workspace(config.k)
     p_hat, (loss, slope, skipped) = minimize_on_interval(
-        lambda p: profile_levels(p, config.k, terms), p_n, 1.0,
-        config.p_grid_resolution, config.refine_tolerance, width=_chunk_rows(config.k),
+        lambda p: profile_levels(p, config.k, terms, work), p_n, 1.0,
+        config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
     )
     return CureFit(p_hat, slope, loss, p_n, config.k, p_n, skipped, boundary=p_n >= 1.0)
 

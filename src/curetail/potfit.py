@@ -28,8 +28,9 @@ from .plotfit import (
     _admissible,
     _check_lam,
     _check_level,
-    _chunk_rows,
     _distinct,
+    _golden_width,
+    _Workspace,
     minimize_on_interval,
     profile_levels,
 )
@@ -120,15 +121,22 @@ def _pot_terms(e, f_k, lam, tail):
     transform of its argument, so terms are kept by that model's rule.
     """
     f_dist, gather = _distinct(f_k)
+    cols = f_dist.size
 
-    def terms(pi):
-        arg = 1.0 - f_dist / pi[:, None]
-        keep = _admissible(PlottingModel.PARETO, arg)
+    def terms(pi, work):
+        rows = pi.size
+        arg = np.divide(f_dist, pi[:, None], out=work.floats(2, rows, cols))
+        np.subtract(1.0, arg, out=arg)
+        keep = _admissible(PlottingModel.PARETO, arg, work.mask(0, rows, cols))
         all_kept = bool(keep.all())
-        w = np.log(arg if all_kept else np.where(keep, arg, 1.0))
+        if not all_kept:
+            np.copyto(arg, 1.0, where=np.logical_not(keep, out=work.mask(1, rows, cols)))
+        w = np.log(arg, out=arg)
         if gather is not None:
-            w = w.take(gather, axis=1)
-            keep = keep.take(gather, axis=1)
+            w = w.take(gather, axis=1, out=work.floats(3, rows, gather.size), mode="clip")
+            if not all_kept:
+                keep = keep.take(gather, axis=1, out=work.mask(1, rows, gather.size),
+                                 mode="clip")
         p = 1.0 - (1.0 - pi) * tail.p_k
         return w, e, None if all_kept else keep, lam * (p - tail.p_n) ** 2
 
@@ -156,9 +164,10 @@ def pot_fit(
     pi_lower = float(exc_curve.cdf_values[-1])
 
     terms = _pot_terms(e, f_k, config.resolved_lam(ordered.n), tail)
+    work = _Workspace(config.k)
     pi_hat, (loss, slope, skipped) = minimize_on_interval(
-        lambda pi: profile_levels(pi, config.k, terms), pi_lower, 1.0,
-        config.p_grid_resolution, config.refine_tolerance, width=_chunk_rows(config.k),
+        lambda pi: profile_levels(pi, config.k, terms, work), pi_lower, 1.0,
+        config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
     )
     boundary = pi_lower >= 1.0
     scale = -slope

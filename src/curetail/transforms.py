@@ -86,14 +86,15 @@ _F = (
 )
 
 
-def _ratpoly(coef_num, coef_den, r):
-    """num(r) / den(r) by Horner's rule, each on one fresh buffer."""
-    num = r * coef_num[-1]
+def _ratpoly(coef_num, coef_den, r, num=None, den=None):
+    """num(r) / den(r) by Horner's rule, each on one buffer: ``num`` and
+    ``den`` when given (``num`` receives the quotient), else fresh ones."""
+    num = np.multiply(r, coef_num[-1], out=num)
     num += coef_num[-2]
     for c in coef_num[-3::-1]:
         num *= r
         num += c
-    den = r * coef_den[-1]
+    den = np.multiply(r, coef_den[-1], out=den)
     den += coef_den[-2]
     for c in coef_den[-3::-1]:
         den *= r
@@ -118,28 +119,34 @@ def norm_quantile(u):
     return out
 
 
-def _norm_quantile(arr: np.ndarray) -> np.ndarray:
+def _norm_quantile(arr: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Unchecked core of ``norm_quantile``: callers keep ``arr`` inside (0, 1).
 
-    The central rational runs on every element, in place, and only the
-    tail elements (|u - 0.5| > 0.425, about 15 % of a plot fit's
-    arguments) are gathered, evaluated in the one tail branch each needs
-    and put back.  Evaluating the central branch everywhere is safe on
-    (0, 1): for |u - 0.5| <= 0.5 its denominator stays above 0.002.
-    Tails are indexed in C order with ``take``/``put``, which follow the
-    flat index whatever the memory layout of ``arr``.
+    The central rational runs on every element and only the tail elements
+    (|u - 0.5| > 0.425, about 15 % of a plot fit's arguments) are
+    gathered, evaluated in the one tail branch each needs and put back.
+    Evaluating the central branch everywhere is safe on (0, 1): for
+    |u - 0.5| <= 0.5 its denominator stays above 0.002.  Tails are indexed
+    in C order with ``take``/``put``, which follow the flat index whatever
+    the memory layout of ``arr``.
+
+    The result goes to ``out``, which may be ``arr`` itself.  ``scratch``
+    is three float arrays of ``arr``'s shape that the call overwrites;
+    without it (or ``out``) the call allocates them, so a caller that
+    passes both allocates nothing of ``arr``'s size in floats.
     """
     if arr.ndim == 0:
         return _norm_quantile(arr.reshape(1)).reshape(())
-    q = arr - 0.5
-    r = q * q
+    q, r, den = scratch if scratch is not None else (np.empty_like(arr) for _ in range(3))
+    np.subtract(arr, 0.5, out=q)
+    tails = np.flatnonzero(np.abs(q, out=r) > 0.425)
+    at = arr.take(tails)  # before ``out`` may overwrite ``arr``
+    np.multiply(q, q, out=r)
     np.subtract(0.180625, r, out=r)
-    out = _ratpoly(_A, _B, r)
+    out = _ratpoly(_A, _B, r, out, den)
     out *= q
 
-    tails = np.flatnonzero(np.abs(q) > 0.425)
     if tails.size:
-        at = arr.take(tails)
         r = np.sqrt(-np.log(np.minimum(at, 1.0 - at)))
         x = _ratpoly(_C, _D, r - 1.6)
         far = np.flatnonzero(r > 5.0)
@@ -163,11 +170,24 @@ def s_transform(model: PlottingModel, t: float) -> float:
     return float(_s_values(model, np.asarray([t], dtype=float))[0])
 
 
-def _s_values(model: PlottingModel, t: np.ndarray) -> np.ndarray:
-    """Vectorized transform; callers guarantee t stays inside (0, 1)."""
-    if model is PlottingModel.PARETO:
-        return -np.log(t)
+def _s_values(model: PlottingModel, t: np.ndarray, out=None) -> np.ndarray:
+    """Vectorized transform; callers guarantee t stays inside (0, 1).
+
+    The values go to ``out`` when given, which may be ``t`` itself.
+    """
     if model is PlottingModel.WEIBULL:
-        return np.log(-np.log(t))
-    # upper-tail quantile: Phi^{-1}(1 - t) = -Phi^{-1}(t)
-    return -_norm_quantile(np.asarray(t, dtype=float))
+        out = np.log(t, out=out)
+        np.negative(out, out=out)
+        return np.log(out, out=out)
+    return np.negative(_minus_s_values(model, t, out), out=out)
+
+
+def _minus_s_values(model: PlottingModel, t: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Minus the Pareto or log-normal transform: log t, or the normal
+    quantile at t (the upper-tail quantile is Phi^{-1}(1 - t) = -Phi^{-1}(t)).
+
+    ``out`` and ``scratch`` are handed on as ``_norm_quantile`` takes them.
+    """
+    if model is PlottingModel.PARETO:
+        return np.log(t, out=out)
+    return _norm_quantile(np.asarray(t, dtype=float), out, scratch)

@@ -7,8 +7,12 @@ boundary rule written out below from the definitions.  A level's results
 must not depend on the other levels of its call, bit for bit, because the
 golden-section search evaluates its future points ahead of time in
 batches; that search must take exactly the path of the one-point search.
+Nor may they depend on what earlier calls left in a reused workspace.
 """
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from curetail.plotfit import (
     _distinct,
     _golden_min,
     _plot_terms,
+    _Workspace,
     minimize_on_interval,
     profile_levels,
 )
@@ -97,9 +102,13 @@ def plot_skipped(model, f_top, f_thr, p):
 class PlotCase:
     def __init__(self, model, ordered, curve, k, lam):
         self.model, self.ordered, self.curve, self.k, self.lam = model, ordered, curve, k, lam
-        tail = top_tail(ordered, curve, k)
+        self.tail = tail = top_tail(ordered, curve, k)
         self.f_top, self.f_thr, self.p_n = tail.f_top, tail.f_thr, tail.p_n
-        self.terms = _plot_terms(model, tail, tail.excesses(log_scale=True), lam)
+        self.lower, self.curve_values = self.p_n, self.f_top
+        self.terms = self.make_terms()
+
+    def make_terms(self):
+        return _plot_terms(self.model, self.tail, self.tail.excesses(log_scale=True), self.lam)
 
     def run(self, levels):
         return profile_levels(np.asarray(levels, dtype=float), self.k, self.terms)
@@ -115,12 +124,16 @@ class PotCase:
         self.e = exc.times
         self.exc_curve = km_fit(exc)
         self.f_k = np.asarray(km_eval(self.exc_curve, self.e))
-        tail = top_tail(ordered, curve, k)
+        self.tail = tail = top_tail(ordered, curve, k)
         self.p_k, self.p_n = tail.p_k, tail.p_n
         self.k, self.lam = k, lam
         events = self.exc_curve.jump_times.size > 0
         self.pi_lower = float(self.exc_curve.cdf_values[-1]) if events else 1.0
-        self.terms = _pot_terms(self.e, self.f_k, lam, tail)
+        self.lower, self.curve_values = self.pi_lower, self.f_k
+        self.terms = self.make_terms()
+
+    def make_terms(self):
+        return _pot_terms(self.e, self.f_k, self.lam, self.tail)
 
     def run(self, levels):
         return profile_levels(np.asarray(levels, dtype=float), self.k, self.terms)
@@ -333,11 +346,17 @@ def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, widest):
         def fit():
             return pot_fit(case.ordered, case.curve, model, FitConfig(k=k))
     kernel = plotfit.profile_levels
-    sizes = []
+    sizes, chunks = [], []
 
-    def recording(levels, *args):
+    def recording(levels, k, terms, *args):
         sizes.append(len(levels))
-        return kernel(levels, *args)
+        chunks.append(0)
+
+        def counting(*a):
+            chunks[-1] += 1
+            return terms(*a)
+
+        return kernel(levels, k, counting, *args)
 
     monkeypatch.setattr(plotfit, "profile_levels", recording)
     monkeypatch.setattr(potfit, "profile_levels", recording)
@@ -346,15 +365,19 @@ def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, widest):
     for elements in (k, 4096, default, 65536):
         monkeypatch.setattr(plotfit, "PROFILE_CHUNK_ELEMENTS", elements)
         sizes.clear()
+        chunks.clear()
         result = fit()
         assert not result.boundary
         results.add(repr(result))
-        # one grid call of 512 levels and the notch, then the refinement:
-        # the first basin's first pair is one call of two levels, and every
-        # later call holds at most one chunk
+        # one grid call of 512 levels and the notch, in chunks of at least
+        # sixteen levels; then the refinement: the first basin's first pair
+        # is one call of two levels, and every later call holds at most
+        # max(4, elements // k) levels, in one chunk
         assert sizes[0] == 513
+        assert chunks[0] == -(-513 // max(16, elements // k))
         assert sizes[1] == 2
-        assert all(size <= _chunk_rows(k) for size in sizes[2:])
+        assert all(size <= max(4, elements // k) for size in sizes[2:])
+        assert chunks[1:] == [1] * (len(sizes) - 1)
         if elements == default:
             assert max(sizes[1:]) == widest
     assert len(results) == 1
@@ -413,6 +436,106 @@ def test_kernel_is_batch_invariant(model, k, seed, p):
     assert_same_bits(loss[checked], [r[0][0] for r in alone])
     assert_same_bits(slope[checked], [r[1][0] for r in alone])
     assert_array_equal(skipped[checked], [r[2][0] for r in alone])
+
+
+def benchmark_shaped_case(model, k, seed):
+    """A case with n = 5k at small k and k = n - 1 at large k."""
+    n = 5 * k if k <= 100 else k + 1
+    return plot_case(model, k, seed, n=n) if model in PLOT_TAILS else pot_case(model, k, seed, n=n)
+
+
+@pytest.mark.parametrize("k", (100, 3999))
+@pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
+def test_reused_workspace_matches_a_fresh_one(model, k):
+    # a fit's chunks reuse one workspace; a 513-level grid ends on a partial
+    # chunk, and calls of other sizes view the same buffers in other shapes
+    case = benchmark_shaped_case(model, k, seed=7000 + k)
+    terms, work = case.make_terms(), _Workspace(k)
+    mid = float(np.median(case.curve_values[case.curve_values > 0]))
+    grid = case.lower + (1.0 - case.lower) * np.arange(1, 514) / 513
+    calls = [grid, np.array([mid]), np.array([0.5 * mid, np.nextafter(case.lower, 1.0), 1.0]),
+             grid]
+    skipped = []
+    for levels in calls:
+        got = profile_levels(levels, k, terms, work)
+        want = profile_levels(levels, k, case.make_terms())
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        skipped.append(got[2])
+    # a curve value as level drops terms, so the masked rows were reused too
+    assert skipped[1][0] > 0
+
+
+def observed_case(model, k, seed):
+    """A case at k = n - 1 whose observations are all events but the
+    largest, so every curve value but the last is distinct: the transforms
+    then run on whole rows, where the benchmark-shaped sample repeats values."""
+    rng = np.random.default_rng(seed)
+    events = np.ones(k + 1, dtype=int)
+    events[-1] = 0
+    o = order_sample(SurvivalSample(np.sort(rng.weibull(0.8, k + 1)), events))
+    cls = PlotCase if model in PLOT_TAILS else PotCase
+    return cls(model, o, km_fit(o), k, k / o.n)
+
+
+@pytest.mark.parametrize("make_case", [benchmark_shaped_case, observed_case])
+@pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
+def test_grid_call_allocates_no_chunk_at_large_k(model, make_case):
+    # a chunk writes into its fit's workspace; tracemalloc sees numpy's data
+    # buffers, so one float array of a whole chunk would lift the peak by
+    # rows * k * 8 bytes.  What remains are boolean masks, tail gathers of
+    # the normal quantile and the per-level outputs.  The levels span (0, 1],
+    # so that chunks below the feasibility bound drop terms and mask rows.
+    k = 3999
+    case = make_case(model, k, seed=8000)
+    terms, work = case.make_terms(), _Workspace(k)
+    grid = np.arange(1, 514) / 513
+    chunk_bytes = work.rows * k * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        profile_levels(grid, k, terms, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < chunk_bytes
+
+
+def test_fits_on_threads_match_sequential_fits():
+    # each fit owns its workspace, so concurrent fits share no buffer; more
+    # threads than cores and a short switch interval interleave their chunks
+    k = 1999
+    samples = []
+    for seed in (9001, 9002, 9003):
+        o = order_sample(mixture(np.random.default_rng(seed), k + 1, "weibull"))
+        samples.append((o, km_fit(o)))
+
+    def five_fits(o, c):
+        fits = [pp_fit(o, c, FitConfig(k=k, model=m)) for m in PLOT_TAILS]
+        fits += [pot_fit(o, c, d, FitConfig(k=k)) for d in POT_TAILS]
+        return [repr(f) for f in fits]
+
+    want = [five_fits(*s) for s in samples]
+    got = [None] * len(samples)
+    start = threading.Barrier(len(samples))
+
+    def worker(i):
+        start.wait()
+        got[i] = [five_fits(*samples[i]) for _ in range(2)]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(samples))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w, w] for w in want]
 
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
