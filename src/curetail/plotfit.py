@@ -11,6 +11,7 @@ penalty tying p to the nonparametric benchmark p_n.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Most (level, term) elements one grid chunk of profile_levels, or one
 # golden-section refinement call, holds; a grid chunk takes at least sixteen
 # levels and a refinement call at least four (``_chunk_rows``,
-# ``_golden_width``).  A chunk writes into its fit's ``_Workspace`` and
-# allocates nothing of its size, so a larger chunk only saves the fixed
+# ``_golden_width``).  A chunk writes into its thread's ``_Workspace``,
+# which the thread keeps between fits at the last size it needed, and
+# allocates nothing of its size.  So a larger chunk only saves the fixed
 # per-chunk cost (about 30-60 us for Pareto and Weibull rows, where one
 # level of 100 terms costs about as much as two).  A wider refinement call
 # also evaluates more tree points that the search never reads.  Measured in
@@ -195,39 +197,45 @@ def _golden_width(k: int) -> int:
 
 
 class _Workspace:
-    """Scratch memory for one fit's ``profile_levels`` chunks of ``k`` terms.
+    """Scratch memory for ``profile_levels`` chunks of ``k`` terms.
 
-    Four float and two boolean buffers of ``rows`` levels by ``k + 1``
-    columns (a plot chunk's transform arguments carry the threshold in one
-    more column), each one flat array that a chunk views in the shape it
-    needs: a C-contiguous row slice, so that a ufunc takes the same loop,
-    and gives the same bits, as on a fresh array.  ``profile_levels`` keeps
-    its masked rows and residual in float buffers 0 and 1; a ``terms``
-    function may use those as scratch but returns its rows in buffers 2
-    and 3, boolean buffers 0 and 1, or outside the workspace.  The
-    workspace belongs to its fit, so fits on several threads never share
-    one.
+    Four float and two boolean buffers of ``_chunk_rows(k)`` levels by
+    ``k + 1`` columns (a plot chunk's transform arguments carry the
+    threshold in one more column), each one flat array that a chunk views
+    in the shape it needs: a C-contiguous row slice, so that a ufunc takes
+    the same loop, and gives the same bits, as on a fresh array.
+    ``profile_levels`` keeps its masked rows and residual in float buffers
+    0 and 1; a ``terms`` function may use those as scratch but returns its
+    rows in buffers 2 and 3, boolean buffers 0 and 1, or outside the
+    workspace.  The thread that runs a fit owns the workspace
+    (``_workspace``) and keeps the last size's buffers between fits:
+    262 KB at k = 100, 2 MB at k = 3999 and about 5 MB after a fit at
+    k = 10 000.  Fits on several threads never share one.
     """
 
-    def __init__(self, k: int, rows: int | None = None):
-        self.rows = _chunk_rows(k) if rows is None else rows
+    def __init__(self, k: int):
+        self.rows = _chunk_rows(k)
+        self.shape = (self.rows, k + 1)
         self._buffers = (np.empty((4, self.rows * (k + 1))),
                          np.empty((2, self.rows * (k + 1)), dtype=bool))
-        # a search asks for few shapes, and a cached view is cheaper than a new one
-        self._views = {}
-
-    def _view(self, kind: int, i: int, rows: int, cols: int) -> np.ndarray:
-        key = (kind, i, rows, cols)
-        view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = self._buffers[kind][i, :rows * cols].reshape(rows, cols)
-        return view
 
     def floats(self, i: int, rows: int, cols: int) -> np.ndarray:
-        return self._view(0, i, rows, cols)
+        return self._buffers[0][i, :rows * cols].reshape(rows, cols)
 
     def mask(self, i: int, rows: int, cols: int) -> np.ndarray:
-        return self._view(1, i, rows, cols)
+        return self._buffers[1][i, :rows * cols].reshape(rows, cols)
+
+
+_THREAD = threading.local()
+
+
+def _workspace(k: int) -> _Workspace:
+    """The calling thread's workspace for chunks of ``k`` terms, replaced
+    only when ``_chunk_rows(k)`` or ``k`` changes its size."""
+    work = getattr(_THREAD, "work", None)
+    if work is None or work.shape != (_chunk_rows(k), k + 1):
+        work = _THREAD.work = _Workspace(k)
+    return work
 
 
 def _masked(a: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -237,7 +245,7 @@ def _masked(a: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def profile_levels(levels, k: int, terms, work: _Workspace | None = None):
+def profile_levels(levels, k: int, terms):
     """Loss, profiled slope and skipped-term count at each level.
 
     At a fixed level both fit families are a least-squares line through
@@ -245,15 +253,14 @@ def profile_levels(levels, k: int, terms, work: _Workspace | None = None):
     ``terms(chunk, work)`` maps a 1-d array of levels to ``(x, y, keep,
     penalty)``: regressor and response, each ``(rows, k)`` or ``(k,)`` when
     the same at every level; the ``(rows, k)`` retained-term mask, or None
-    when every term is kept; and the per-level penalty.  The arrays it
-    returns may be views into the workspace ``work``, valid until its next
-    call.  ``y`` is not read when no level of the chunk keeps a term.  A
-    level that keeps no term scores its penalty alone with a NaN slope; a
-    retained regressor of zero norm gets slope 0.  Levels are evaluated in
-    chunks of ``work.rows`` levels, ``_chunk_rows(k)`` for a fit's
-    workspace: at most ``PROFILE_CHUNK_ELEMENTS`` terms, or sixteen levels
-    when k is too large for that.  Without ``work`` the call makes a
-    workspace of its own.
+    when every term is kept; and the per-level penalty.  ``work`` is the
+    calling thread's ``_Workspace`` for ``k``, and the arrays ``terms``
+    returns may be views into it, valid until its next call.  ``y`` is not
+    read when no level of the chunk keeps a term.  A level that keeps no
+    term scores its penalty alone with a NaN slope; a retained regressor of
+    zero norm gets slope 0.  Levels are evaluated in chunks of
+    ``_chunk_rows(k)`` levels: at most ``PROFILE_CHUNK_ELEMENTS`` terms, or
+    sixteen levels when k is too large for that.
 
     A level's results do not depend on the other levels of the call, bit
     for bit, provided ``terms`` builds each row from its level alone (in
@@ -261,8 +268,7 @@ def profile_levels(levels, k: int, terms, work: _Workspace | None = None):
     time.
     """
     levels = np.asarray(levels, dtype=float)
-    if work is None:
-        work = _Workspace(k, max(1, min(_chunk_rows(k), levels.size)))
+    work = _workspace(k)
     loss = np.empty(levels.size)
     slope = np.full(levels.size, math.nan)
     kept = np.full(levels.size, k)
@@ -518,9 +524,8 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
         raise DegenerateRegressorError("top k+1 observations coincide; no slope identifiable")
     p_n = tail.p_n
     terms = _plot_terms(model, tail, x, config.resolved_lam(ordered.n))
-    work = _Workspace(config.k)
     p_hat, (loss, slope, skipped) = minimize_on_interval(
-        lambda p: profile_levels(p, config.k, terms, work), p_n, 1.0,
+        lambda p: profile_levels(p, config.k, terms), p_n, 1.0,
         config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
     )
     return CureFit(p_hat, slope, loss, p_n, config.k, p_n, skipped, boundary=p_n >= 1.0)

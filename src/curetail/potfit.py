@@ -30,7 +30,6 @@ from .plotfit import (
     _check_level,
     _distinct,
     _golden_width,
-    _Workspace,
     minimize_on_interval,
     profile_levels,
 )
@@ -155,18 +154,17 @@ def pot_fit(
     the conditional level is found by dense grid plus golden-section
     refinement over its feasible interval, smallest level winning ties.
     """
+    tail = top_tail(ordered, curve, config.k)
     e, exc_curve, f_k = _exceedance_curve(ordered, config.k, domain)
     if float(e.max()) <= 0.0:
         raise DegenerateExceedancesError("all exceedances are zero")
     if exc_curve.jump_times.size == 0:
         raise DegenerateExceedancesError("no events among the top k observations")
-    tail = top_tail(ordered, curve, config.k)
     pi_lower = float(exc_curve.cdf_values[-1])
 
     terms = _pot_terms(e, f_k, config.resolved_lam(ordered.n), tail)
-    work = _Workspace(config.k)
     pi_hat, (loss, slope, skipped) = minimize_on_interval(
-        lambda pi: profile_levels(pi, config.k, terms, work), pi_lower, 1.0,
+        lambda pi: profile_levels(pi, config.k, terms), pi_lower, 1.0,
         config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
     )
     boundary = pi_lower >= 1.0

@@ -28,6 +28,7 @@ from curetail import (
 from curetail import cli
 from curetail.cli import MAX_SIZE, main
 from curetail.dataio import MAX_STRESS_FRACTION, format_sig
+from curetail.estimators import MODEL_NAMES
 
 
 def write_csv(path, text):
@@ -384,6 +385,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "error: log excesses need a positive threshold, got 0.0\n"
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_k_past_the_sample_exit_code(self, tmp_path, capsys, model):
+        # every fit reads the tail record first, so all five name one k range
+        p = write_csv(tmp_path / "six.csv", "time,status\n1,1\n2,0\n3,1\n4,1\n5,0\n6,0\n")
+        code = main(["fit", "--input", p, "--model", model, "--k", "6"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: k must be an integer in [2, 5], got 6\n"
 
     def test_negative_seed_exit_code(self, capsys):
         code = main(["simulate", "--scenario", "2", "--n", "60", "--reps", "2", "--p", "0.8",

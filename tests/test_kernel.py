@@ -42,7 +42,7 @@ from curetail.plotfit import (
     _distinct,
     _golden_min,
     _plot_terms,
-    _Workspace,
+    _workspace,
     minimize_on_interval,
     profile_levels,
 )
@@ -143,9 +143,13 @@ class PotCase:
 
 
 def plot_case(model, k, seed, p=0.8, n=None):
+    # the search needs p_n below 1; redraw until it is
     rng = np.random.default_rng(seed)
-    o = order_sample(mixture(rng, n or max(60, 3 * k), PLOT_TAILS[model], p))
-    return PlotCase(model, o, km_fit(o), k, k / o.n)
+    while True:
+        o = order_sample(mixture(rng, n or max(60, 3 * k), PLOT_TAILS[model], p))
+        case = PlotCase(model, o, km_fit(o), k, k / o.n)
+        if case.p_n < 1.0:
+            return case
 
 
 def pot_case(domain, k, seed, p=0.8, n=None):
@@ -444,24 +448,35 @@ def benchmark_shaped_case(model, k, seed):
     return plot_case(model, k, seed, n=n) if model in PLOT_TAILS else pot_case(model, k, seed, n=n)
 
 
+def on_fresh_thread(fn, *args):
+    """``fn(*args)`` on a new thread, which starts without a workspace."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn(*args)))
+    thread.start()
+    thread.join(timeout=60)
+    return result[0]
+
+
 @pytest.mark.parametrize("k", (100, 3999))
 @pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
 def test_reused_workspace_matches_a_fresh_one(model, k):
-    # a fit's chunks reuse one workspace; a 513-level grid ends on a partial
-    # chunk, and calls of other sizes view the same buffers in other shapes
+    # a thread's kernel calls reuse one workspace; a 513-level grid ends on
+    # a partial chunk, and calls of other sizes view the same buffers in
+    # other shapes
     case = benchmark_shaped_case(model, k, seed=7000 + k)
-    terms, work = case.make_terms(), _Workspace(k)
+    terms, work = case.make_terms(), _workspace(k)
     mid = float(np.median(case.curve_values[case.curve_values > 0]))
     grid = case.lower + (1.0 - case.lower) * np.arange(1, 514) / 513
     calls = [grid, np.array([mid]), np.array([0.5 * mid, np.nextafter(case.lower, 1.0), 1.0]),
              grid]
     skipped = []
     for levels in calls:
-        got = profile_levels(levels, k, terms, work)
-        want = profile_levels(levels, k, case.make_terms())
+        got = profile_levels(levels, k, terms)
+        want = on_fresh_thread(profile_levels, levels, k, case.make_terms())
         for g, w in zip(got, want):
             assert_same_bits(g, w)
         skipped.append(got[2])
+    assert _workspace(k) is work
     # a curve value as level drops terms, so the masked rows were reused too
     assert skipped[1][0] > 0
 
@@ -481,29 +496,49 @@ def observed_case(model, k, seed):
 @pytest.mark.parametrize("make_case", [benchmark_shaped_case, observed_case])
 @pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
 def test_grid_call_allocates_no_chunk_at_large_k(model, make_case):
-    # a chunk writes into its fit's workspace; tracemalloc sees numpy's data
-    # buffers, so one float array of a whole chunk would lift the peak by
-    # rows * k * 8 bytes.  What remains are boolean masks, tail gathers of
+    # a chunk writes into its thread's workspace; tracemalloc sees numpy's
+    # data buffers, so one float array of a whole chunk would lift the peak
+    # by rows * k * 8 bytes.  What remains are boolean masks, tail gathers of
     # the normal quantile and the per-level outputs.  The levels span (0, 1],
     # so that chunks below the feasibility bound drop terms and mask rows.
+    # A warm call first gives this thread its workspace for k.
     k = 3999
     case = make_case(model, k, seed=8000)
-    terms, work = case.make_terms(), _Workspace(k)
+    terms = case.make_terms()
     grid = np.arange(1, 514) / 513
-    chunk_bytes = work.rows * k * 8
+    profile_levels(grid, k, terms)
+    assert peak_bytes(profile_levels, grid, k, terms) < _chunk_rows(k) * k * 8
+
+
+@pytest.mark.parametrize("n, k", [(500, 100), (4000, 3999)])
+def test_fits_of_one_sample_allocate_no_workspace(n, k):
+    # the thread keeps its workspace between fits, so once the first fit of
+    # a sample has sized it, the other four allocate no float array of its
+    # size.  The bound is not one chunk: at k = 100 a chunk of 8 100 elements
+    # fits in one of numpy's 8 192-element ufunc buffers, and b * x fills two
+    case = plot_case(PlottingModel.PARETO, k, seed=8100, n=n)
+    o, c = case.ordered, case.curve
+    fits = [lambda m=m: pp_fit(o, c, FitConfig(k=k, model=m)) for m in PLOT_TAILS]
+    fits += [lambda d=d: pot_fit(o, c, d, FitConfig(k=k)) for d in POT_TAILS]
+    fits[0]()
+    for fit in fits[1:]:
+        assert peak_bytes(fit) < 4 * _chunk_rows(k) * (k + 1) * 8
+
+
+def peak_bytes(fn, *args):
+    """Most bytes ``fn(*args)`` held at once beyond what was held before."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        profile_levels(grid, k, terms, work)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak - before < chunk_bytes
 
 
 def test_fits_on_threads_match_sequential_fits():
-    # each fit owns its workspace, so concurrent fits share no buffer; three
+    # each thread owns its workspace, so concurrent fits share no buffer; three
     # threads and a short switch interval interleave their kernel chunks
     k = 1999
     samples = []
