@@ -45,6 +45,10 @@ from .transforms import PlottingModel
 
 __all__ = ["PotDomain", "PotFit", "pot_loss", "pot_fit", "pot_gof_series"]
 
+# Largest root-sum-square of the excesses a fit takes: the loss sums their
+# squares, which must stay below half the largest float.
+_MAX_EXCESS_NORM = math.sqrt(np.finfo(float).max / 2.0)
+
 
 class PotDomain(Enum):
     GUMBEL = "gumbel"
@@ -158,6 +162,8 @@ def pot_fit(
     e, exc_curve, f_k = _exceedance_curve(ordered, config.k, domain)
     if float(e.max()) <= 0.0:
         raise DegenerateExceedancesError("all exceedances are zero")
+    if float(e.max()) * math.sqrt(e.size) > _MAX_EXCESS_NORM:
+        raise DegenerateExceedancesError("exceedances too large: their squared sum overflows")
     if exc_curve.jump_times.size == 0:
         raise DegenerateExceedancesError("no events among the top k observations")
     pi_lower = float(exc_curve.cdf_values[-1])

@@ -1,14 +1,27 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written from the definitions, sharing no code path with
-the implementation under test: the product-limit curve is accumulated per
-distinct event time with explicit risk-set counts, the minimizers walk
-dense grids with parabola-vertex slope steps (the losses are exactly
-quadratic in their slope), and the variance constant is the raw double sum.
+Everything here is written from the definitions and imports nothing from
+the package: the product-limit curve is accumulated per distinct event time
+with explicit risk-set counts, the losses are evaluated as arrays straight
+from their formulas, the minimizer walks dense zooming grids with
+parabola-vertex slope steps (the losses are exactly quadratic in their
+slope), and the variance constant is the raw double sum.
 """
 import numpy as np
+from scipy.special import ndtri
 
-from curetail import p_benchmark, pot_loss, pp_loss
+# Transform arguments this close to {0, 1} drop their term from the sum.
+BOUNDARY_EPS = 1e-15
+
+# Most (level, term) elements one array evaluation of a loss holds.
+BLOCK_ELEMENTS = 1 << 18
+
+# Vertical plot coordinate of each plotting model at tail probability t.
+TRANSFORMS = {
+    "pareto": lambda t: -np.log(t),
+    "weibull": lambda t: np.log(-np.log(t)),
+    "lognormal": lambda t: -ndtri(t),
+}
 
 
 def km_direct(times, events):
@@ -38,94 +51,101 @@ def km_direct_eval(times, events, at):
     return out
 
 
-def _vertex_min(f0, f1, f2):
-    """Minimizer of the quadratic through (0, f0), (1, f1), (2, f2)."""
+def _plot_rows(model, f_top, f_thr, x, p_n, lam):
+    """Regressor, response and penalty of the plot loss at levels p.
+
+    The response is s(1 - F/p) minus its value at the threshold; a term
+    whose argument is within BOUNDARY_EPS of 0 (or, except for Pareto,
+    of 1) is dropped, and an inadmissible threshold drops every term.
+    """
+    def rows(p):
+        t = 1.0 - np.append(f_top, f_thr) / p[:, None]
+        ok = (t > BOUNDARY_EPS) & ((t < 1.0 - BOUNDARY_EPS) | (model == "pareto"))
+        s = TRANSFORMS[model](np.where(ok, t, 0.5))
+        keep = ok[:, :-1] & ok[:, -1:]
+        y = np.where(keep, s[:, :-1] - s[:, -1:], 0.0)
+        return np.where(keep, x, 0.0), y, lam * (p - p_n) ** 2
+    return rows
+
+
+def _pot_rows(e, f_exc, p_k, p_n, lam):
+    """Regressor -log(1 - F/pi), response e and penalty of the exceedance
+    loss at conditional levels pi; the slope is the scale.  A term whose
+    argument is within BOUNDARY_EPS of 0 is dropped."""
+    def rows(pi):
+        arg = 1.0 - f_exc / pi[:, None]
+        keep = arg > BOUNDARY_EPS
+        penalty = lam * (1.0 - (1.0 - pi) * p_k - p_n) ** 2
+        return -np.log(np.where(keep, arg, 1.0)), np.where(keep, e, 0.0), penalty
+    return rows
+
+
+def _profile(rows, levels, unit, offset):
+    """Loss and slope at each level, the slope profiled by one parabola.
+
+    The loss is probed at slopes unit * (offset + j) for j = 0, 1, 2 and
+    evaluated at the vertex of the parabola through the probes, which is
+    exact because the loss is quadratic in the slope.  A flat or concave
+    parabola takes the best probe instead, and so does a vertex at a slope
+    <= 0 when the probes start above 0 (the exceedance scale is positive).
+    """
+    x, y, penalty = rows(levels)
+
+    def loss(slope):
+        r = y - slope[:, None] * x
+        return (r * r).sum(axis=1) + penalty
+
+    f0, f1, f2 = (loss(np.full(levels.size, unit * (offset + j))) for j in range(3))
     a = (f0 - 2.0 * f1 + f2) / 2.0
-    if a <= 0:
-        return float(np.argmin([f0, f1, f2]))
-    b = f1 - f0 - a
-    return -b / (2.0 * a)
+    best = unit * (offset + np.argmin([f0, f1, f2], axis=0))
+    vertex = unit * (offset + np.divide(f0 - f1 + a, 2.0 * a, out=np.zeros_like(a), where=a > 0))
+    slope = np.where((a > 0) & ((vertex > 0) | (offset == 0)), vertex, best)
+    return loss(slope), slope
 
 
-def pp_grid_oracle(model, ordered, curve, k, lam, stages=3, points=600):
-    """Dense-grid minimizer of the plot loss with profiled slope.
+def grid_oracle(times, events, k, model, lam, stages=3, points=600):
+    """Dense-grid minimizer of one family's penalized loss over its level.
 
-    The slope profile is recovered by evaluating the loss at slopes 0, 1, 2
-    and jumping to the vertex of the interpolating parabola, which is exact
-    because the loss is a quadratic in the slope.  The p grid zooms
-    ``stages`` times and finishes with the two boundary candidates.
+    ``times`` and ``events`` are the sample sorted by time, events first
+    within ties; the top k times lie above the threshold, the (k+1)-th
+    largest.  ``model`` is a plot model of TRANSFORMS (level p, slope on
+    the log excesses) or "gumbel-pot" / "frechet-pot" (conditional level
+    pi on the exceedance curve of the raw or log excesses, slope the
+    scale).  The level grid of ``points`` zooms ``stages`` times from the
+    curve's value at the largest time up to 1 and finishes with the two
+    boundary candidates; the first of equal losses wins.  Levels are
+    evaluated in blocks of at most BLOCK_ELEMENTS terms.  Returns the
+    minimizing level, its slope and its loss.
     """
-    p_n = p_benchmark(curve, ordered)
+    times, events = np.asarray(times, dtype=float), np.asarray(events)
+    thr, top = times[-k - 1], times[-k:]
+    f = km_direct_eval(times, events, np.append(top, thr))
+    p_n, log_e = f[-2], np.log(top) - np.log(thr)
+    if model in TRANSFORMS:
+        rows, lower, unit, offset = _plot_rows(model, f[:-1], f[-1], log_e, p_n, lam), p_n, 1.0, 0
+    else:
+        e = log_e if model == "frechet-pot" else top - thr
+        f_exc = km_direct_eval(e, events[-k:], e)
+        rows, lower = _pot_rows(e, f_exc, 1.0 - f[-1], p_n, lam), f_exc[-1]
+        unit, offset = 0.5 * (float(np.mean(e)) + 1.0), 1
 
-    def profiled(p):
-        f0 = pp_loss(model, ordered, curve, k, 0.0, p, lam)
-        f1 = pp_loss(model, ordered, curve, k, 1.0, p, lam)
-        f2 = pp_loss(model, ordered, curve, k, 2.0, p, lam)
-        v = _vertex_min(f0, f1, f2)
-        return pp_loss(model, ordered, curve, k, v, p, lam), v
+    def profiled(levels):
+        size = max(1, BLOCK_ELEMENTS // k)
+        parts = [_profile(rows, levels[i:i + size], unit, offset)
+                 for i in range(0, levels.size, size)]
+        return levels, *(np.concatenate(v) for v in zip(*parts))
 
-    if p_n >= 1.0:
-        loss, slope = profiled(1.0)
-        return 1.0, slope, loss
-
-    lo, hi = p_n, 1.0
-    best_loss, best_p = np.inf, None
-    for _ in range(stages):
+    found, lo, hi = [], lower, 1.0
+    for _ in range(stages if lower < 1.0 else 0):
         step = (hi - lo) / points
-        grid = lo + step * np.arange(1, points + 1)
-        vals = np.array([profiled(p)[0] for p in grid])
-        i = int(np.argmin(vals))
-        if vals[i] < best_loss:
-            best_loss, best_p = float(vals[i]), float(grid[i])
+        found.append(profiled(lo + step * np.arange(1, points + 1)))
+        grid, i = found[-1][0], int(np.argmin(found[-1][1]))
         lo = grid[i - 1] if i > 0 else lo + step * 1e-6
         hi = grid[min(i + 1, points - 1)]
-    for cand in (np.nextafter(p_n, 1.0), 1.0):
-        val, _ = profiled(cand)
-        if val < best_loss:
-            best_loss, best_p = float(val), float(cand)
-    return best_p, profiled(best_p)[1], best_loss
-
-
-def pot_grid_oracle(exc_curve, e_values, p_n, p_k, lam, stages=3, points=600):
-    """Dense-grid minimizer of the exceedance loss with profiled scale.
-
-    Scale is profiled by the same parabola-vertex step, evaluated at scales
-    chosen around a crude positive guess to keep the probe points legal
-    (the loss requires scale > 0).
-    """
-    pi_lower = float(exc_curve.cdf_values[-1]) if exc_curve.jump_times.size else 0.0
-    h = 0.5 * (float(np.mean(e_values)) + 1.0)
-
-    def profiled(pi):
-        # probe scales h, 2h, 3h; substitute scale = h*(1+x) so the vertex
-        # formula over x in {0, 1, 2} applies unchanged
-        f = [pot_loss(exc_curve, e_values, h * (1.0 + x), pi, lam, p_n, p_k) for x in (0, 1, 2)]
-        x_best = _vertex_min(*f)
-        s_best = h * (1.0 + x_best)
-        if s_best <= 0:
-            s_best = h * (1.0 + float(np.argmin(f)))
-        return pot_loss(exc_curve, e_values, float(s_best), pi, lam, p_n, p_k), float(s_best)
-
-    if pi_lower >= 1.0:
-        loss, scale = profiled(1.0)
-        return 1.0, scale, loss
-
-    lo, hi = pi_lower, 1.0
-    best_loss, best_pi = np.inf, None
-    for _ in range(stages):
-        step = (hi - lo) / points
-        grid = lo + step * np.arange(1, points + 1)
-        vals = np.array([profiled(pi)[0] for pi in grid])
-        i = int(np.argmin(vals))
-        if vals[i] < best_loss:
-            best_loss, best_pi = float(vals[i]), float(grid[i])
-        lo = grid[i - 1] if i > 0 else lo + step * 1e-6
-        hi = grid[min(i + 1, points - 1)]
-    for cand in (np.nextafter(pi_lower, 1.0), 1.0):
-        val, _ = profiled(cand)
-        if val < best_loss:
-            best_loss, best_pi = float(val), float(cand)
-    return best_pi, profiled(best_pi)[1], best_loss
+    found.append(profiled(np.array([np.nextafter(lower, 1.0), 1.0])))
+    level, loss, slope = (np.concatenate(v) for v in zip(*found))
+    i = int(np.argmin(loss))
+    return float(level[i]), float(slope[i]), float(loss[i])
 
 
 def sigma2_naive(gamma_c, k):

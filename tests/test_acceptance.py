@@ -7,8 +7,7 @@ no code path with the package.
 import time
 
 import numpy as np
-import pytest
-from oracles import km_direct, pot_grid_oracle, pp_grid_oracle, sigma2_naive
+from oracles import grid_oracle, km_direct, sigma2_naive
 
 import curetail as ct
 
@@ -116,16 +115,8 @@ def test_criterion_2_optimizer_oracle_equivalence(capsys):
     worst = 0.0
     for family in (*PP_FAMILIES, *POT_FAMILIES):
         for family, o, c, k, fit in _instances(family, 20, seed=2002):
-            lam = k / o.n
-            if family in PP_FAMILIES:
-                _, _, oracle_loss = pp_grid_oracle(PP_FAMILIES[family], o, c, k, lam)
-            else:
-                exc = ct.exceedances(o, k, log_scale=family == "frechet-pot")
-                ec = ct.km_fit(exc)
-                thr = float(o.sorted_times[o.n - k - 1])
-                p_k = 1.0 - float(ct.km_eval(c, thr))
-                p_n = ct.p_benchmark(c, o)
-                _, _, oracle_loss = pot_grid_oracle(ec, exc.times, p_n, p_k, lam)
+            _, _, oracle_loss = grid_oracle(o.sorted_times, o.concomitant_events, k, family,
+                                            k / o.n)
             worst = max(worst, abs(fit.loss - oracle_loss))
     elapsed = time.time() - t0
     ok = worst <= 1e-8 and elapsed < 120.0

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import pp_grid_oracle
+from oracles import grid_oracle
 
 from curetail import (
     DegenerateRegressorError,
@@ -170,7 +170,8 @@ class TestPpFit:
         o = order_sample(s)
         c = km_fit(o)
         fit = pp_fit(o, c, FitConfig(k=n - 1, model=PlottingModel.PARETO))
-        _, _, oracle_loss = pp_grid_oracle(PlottingModel.PARETO, o, c, n - 1, (n - 1) / n)
+        _, _, oracle_loss = grid_oracle(o.sorted_times, o.concomitant_events, n - 1, "pareto",
+                                        (n - 1) / n)
         assert abs(fit.loss - oracle_loss) <= 1e-8
 
     def test_smallest_p_wins_ties(self):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import pot_grid_oracle
+from oracles import grid_oracle
 
 from curetail import (
     DegenerateExceedancesError,
@@ -234,14 +234,8 @@ class TestPotFit:
         o, c = prepared(rng, n=2000, p=0.85, tail="pareto")
         k = 800
         fit = pot_fit(o, c, PotDomain.FRECHET, FitConfig(k=k))
-        exc = exceedances(o, k, log_scale=True)
-        ec = km_fit(exc)
-        p_n = p_benchmark(c, o)
-        from curetail import km_eval
-
-        thr = float(o.sorted_times[o.n - k - 1])
-        p_k = 1.0 - float(km_eval(c, thr))
-        _, _, oracle_loss = pot_grid_oracle(ec, exc.times, p_n, p_k, k / o.n)
+        _, _, oracle_loss = grid_oracle(o.sorted_times, o.concomitant_events, k, "frechet-pot",
+                                        k / o.n)
         assert abs(fit.loss - oracle_loss) <= 1e-8
 
     def test_exceedance_curve_jump_count(self):
@@ -266,6 +260,16 @@ class TestPotFit:
         c = km_fit(o)
         with pytest.raises(DegenerateExceedancesError):
             pot_fit(o, c, PotDomain.GUMBEL, FitConfig(k=4))
+
+    def test_overflowing_excesses(self):
+        # raw excesses near the largest float: their squares overflow, while
+        # their logarithms stay small
+        times = np.array([1.0, 2.0, 3.0, 4.0, 5e307, 1e308])
+        o = order_sample(SurvivalSample(times, np.array([1, 1, 0, 1, 1, 0])))
+        c = km_fit(o)
+        with pytest.raises(DegenerateExceedancesError, match="overflows"):
+            pot_fit(o, c, PotDomain.GUMBEL, FitConfig(k=3))
+        assert np.isfinite(pot_fit(o, c, PotDomain.FRECHET, FitConfig(k=3)).loss)
 
     def test_k_out_of_range(self):
         o, c = prepared(np.random.default_rng(3), n=50)

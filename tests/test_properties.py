@@ -8,6 +8,7 @@ way for every ordering of the input rows.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import grid_oracle
 
 from curetail import (
     CuretailError,
@@ -76,3 +77,20 @@ def test_p_hat_lies_between_benchmark_and_one(case):
         # the exceedance fit recovers p from pi, which may round below p_n
         slack = 1e-12 if isinstance(model, PotDomain) else 0.0
         assert p_n - slack <= fit.p_hat <= 1.0, (model, fit)
+
+
+@settings(max_examples=60)
+@given(samples())
+def test_fit_losses_match_the_oracle(case):
+    sample, k, _ = case
+    ordered = order_sample(sample)
+    out, _ = fits(sample, k)
+    for model, fit in out.items():
+        # a boundary exceedance fit may have no identified scale, and the
+        # oracle probes positive scales only
+        if isinstance(fit, type) or (isinstance(model, PotDomain) and fit.boundary):
+            continue
+        name = f"{model.value}-pot" if isinstance(model, PotDomain) else model.value
+        _, _, loss = grid_oracle(ordered.sorted_times, ordered.concomitant_events, k, name,
+                                 k / sample.n)
+        assert abs(fit.loss - loss) <= 1e-8, (model, fit, loss)
