@@ -6,121 +6,55 @@ observation) is biased downward.  The estimators here pull the missing
 tail information out of the largest observations instead: either by
 straightening a penalized probability plot of the top order statistics,
 or by fitting the censored exceedances over a high threshold.
+
+The namespace is lazy (PEP 562): a public name or submodule is imported
+on first use, so ``import curetail`` alone loads no numpy.
 """
-from .asymptotics import CensoringTail, h_gamma, sigma2_k
-from .dataio import StressRow, parse_dataset, stress_sweep, write_dataset
-from .errors import (
-    CuretailError,
-    DatasetFormatError,
-    DegenerateExceedancesError,
-    DegenerateRegressorError,
-    EmptySampleError,
-    InfeasiblePError,
-    InfeasiblePiError,
-    InvalidKError,
-    KTooSmallForStressError,
-    NonPositiveThresholdError,
-    NumericalError,
-    TransformDomainError,
-    ValidationError,
-)
-from .estimators import ESTIMATOR_NAMES, fit_estimate
-from .plotfit import (
-    CureFit,
-    FitConfig,
-    PlotSeries,
-    gof_series,
-    pp_fit,
-    pp_loss,
-)
-from .potfit import PotDomain, PotFit, pot_fit, pot_gof_series, pot_loss
-from .simulate import (
-    SCENARIO_IDS,
-    BurrLifetime,
-    Exponential,
-    ParetoLifetime,
-    ReplicationSummary,
-    ScenarioSpec,
-    ShiftedExpCensoring,
-    StdLogNormal,
-    UniformCensoring,
-    WeibullLifetime,
-    run_scenario,
-    sample_scenario,
-    scenario_spec,
-)
-from .survival import (
-    KaplanMeierCurve,
-    OrderedSample,
-    SurvivalSample,
-    apply_insufficiency,
-    exceedances,
-    km_eval,
-    km_fit,
-    order_sample,
-    p_benchmark,
-)
-from .transforms import PlottingModel, norm_quantile, s_transform
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BurrLifetime",
-    "CensoringTail",
-    "CureFit",
-    "CuretailError",
-    "DatasetFormatError",
-    "DegenerateExceedancesError",
-    "DegenerateRegressorError",
-    "EmptySampleError",
-    "ESTIMATOR_NAMES",
-    "Exponential",
-    "FitConfig",
-    "InfeasiblePError",
-    "InfeasiblePiError",
-    "InvalidKError",
-    "KaplanMeierCurve",
-    "KTooSmallForStressError",
-    "NonPositiveThresholdError",
-    "NumericalError",
-    "OrderedSample",
-    "ParetoLifetime",
-    "PlotSeries",
-    "PlottingModel",
-    "PotDomain",
-    "PotFit",
-    "ReplicationSummary",
-    "SCENARIO_IDS",
-    "ScenarioSpec",
-    "ShiftedExpCensoring",
-    "StdLogNormal",
-    "StressRow",
-    "SurvivalSample",
-    "TransformDomainError",
-    "UniformCensoring",
-    "ValidationError",
-    "WeibullLifetime",
-    "apply_insufficiency",
-    "exceedances",
-    "fit_estimate",
-    "gof_series",
-    "h_gamma",
-    "km_eval",
-    "km_fit",
-    "norm_quantile",
-    "order_sample",
-    "p_benchmark",
-    "parse_dataset",
-    "pot_fit",
-    "pot_gof_series",
-    "pot_loss",
-    "pp_fit",
-    "pp_loss",
-    "run_scenario",
-    "s_transform",
-    "sample_scenario",
-    "scenario_spec",
-    "sigma2_k",
-    "stress_sweep",
-    "write_dataset",
-]
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "asymptotics": ("CensoringTail", "h_gamma", "sigma2_k"),
+    "dataio": ("StressRow", "parse_dataset", "stress_sweep", "write_dataset"),
+    "errors": (
+        "CuretailError", "DatasetFormatError", "DegenerateExceedancesError",
+        "DegenerateRegressorError", "EmptySampleError", "InfeasiblePError",
+        "InfeasiblePiError", "InvalidKError", "KTooSmallForStressError",
+        "NonPositiveThresholdError", "NumericalError", "TransformDomainError",
+        "ValidationError",
+    ),
+    "estimators": ("ESTIMATOR_NAMES", "fit_estimate"),
+    "plotfit": ("CureFit", "FitConfig", "PlotSeries", "gof_series", "pp_fit", "pp_loss"),
+    "potfit": ("PotDomain", "PotFit", "pot_fit", "pot_gof_series", "pot_loss"),
+    "simulate": (
+        "SCENARIO_IDS", "BurrLifetime", "Exponential", "ParetoLifetime",
+        "ReplicationSummary", "ScenarioSpec", "ShiftedExpCensoring", "StdLogNormal",
+        "UniformCensoring", "WeibullLifetime", "run_scenario", "sample_scenario",
+        "scenario_spec",
+    ),
+    "survival": (
+        "KaplanMeierCurve", "OrderedSample", "SurvivalSample", "apply_insufficiency",
+        "exceedances", "km_eval", "km_fit", "order_sample", "p_benchmark",
+    ),
+    "transforms": ("PlottingModel", "norm_quantile", "s_transform"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _MODULE_OF:
+        value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return list(__all__)

@@ -21,6 +21,10 @@ import math
 import os
 import sys
 
+# One BLAS thread: a CLI process gains nothing from OpenBLAS's pool, which costs CPU at start.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .asymptotics import CensoringTail, sigma2_k
 from .dataio import format_sig, parse_dataset, stress_sweep
 from .errors import NumericalError, ValidationError
