@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-# One BLAS thread: a CLI process gains nothing from OpenBLAS's pool, which costs CPU at start.
+# One BLAS thread: a CLI run gains nothing from OpenBLAS's pool, which costs CPU in every process.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
