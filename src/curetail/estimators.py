@@ -38,9 +38,10 @@ def check_name(name: str) -> None:
 
 def _fit(name, ordered, curve, config):
     """The table entry of a name in MODEL_NAMES and its fit."""
+    if name not in _MODELS:
+        raise ValidationError(f"estimator {name!r} has no fit; choose from {MODEL_NAMES}")
     if config is None:
         raise ValidationError(f"estimator {name!r} requires a fit configuration")
-    check_name(name)
     model = _MODELS[name]
     if isinstance(model, PotDomain):
         return model, pot_fit(ordered, curve, model, config)

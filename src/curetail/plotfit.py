@@ -43,6 +43,9 @@ BOUNDARY_EPS = 1e-15
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Longest dot product that OpenBLAS runs on one thread whatever its count
+_DOT_BLOCK = 10_000
+
 # Most (level, term) elements one grid chunk of profile_levels, or one
 # golden-section refinement call, holds; a grid chunk takes at least sixteen
 # levels and a refinement call at least four (``_chunk_rows``,
@@ -146,21 +149,6 @@ def _admissible(model: PlottingModel, t: np.ndarray, out=None) -> np.ndarray:
     return ok
 
 
-def _term_masks(model: PlottingModel, t_top: np.ndarray, t_thr: np.ndarray, out=None):
-    """Retained-term mask and threshold admissibility.
-
-    ``t_top = 1 - F/p`` holds the transform arguments of the top terms and
-    ``t_thr`` that of the threshold, a numpy scalar or a column of levels
-    that broadcasts against ``t_top``.  An inadmissible threshold drops
-    every term of its level.  The mask goes to ``out`` when given.
-    """
-    thr_ok = _admissible(model, t_thr)
-    keep = _admissible(model, t_top, out)
-    if not thr_ok.all():
-        keep &= thr_ok
-    return keep, thr_ok
-
-
 def _distinct(values: np.ndarray, costly: bool = False):
     """Distinct values and the index that gathers ``values`` back from them.
 
@@ -181,9 +169,17 @@ def _rowdot(a: np.ndarray, b: np.ndarray):
 
     Every row is reduced on its own, as one (1, k) @ (k, 1) product, so a
     row's sum does not depend on how many rows share the call; a
-    matrix-vector product sums rows in an order that does.
+    matrix-vector product sums rows in an order that does.  OpenBLAS
+    splits a dot product of more than ``_DOT_BLOCK`` terms across its
+    threads, so a longer row is summed block by block, left to right, and
+    its bits do not depend on the BLAS thread count either.
     """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    if a.shape[-1] <= _DOT_BLOCK:
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    total = _rowdot(a[..., :_DOT_BLOCK], b[..., :_DOT_BLOCK])
+    for start in range(_DOT_BLOCK, a.shape[-1], _DOT_BLOCK):
+        total += _rowdot(a[..., start:start + _DOT_BLOCK], b[..., start:start + _DOT_BLOCK])
+    return total
 
 
 def _chunk_rows(k: int) -> int:
@@ -255,10 +251,10 @@ def profile_levels(levels, k: int, terms):
     the same at every level; the ``(rows, k)`` retained-term mask, or None
     when every term is kept; and the per-level penalty.  ``work`` is the
     calling thread's ``_Workspace`` for ``k``, and the arrays ``terms``
-    returns may be views into it, valid until its next call.  ``y`` is not
-    read when no level of the chunk keeps a term.  A level that keeps no
-    term scores its penalty alone with a NaN slope; a retained regressor of
-    zero norm gets slope 0.  Levels are evaluated in chunks of
+    returns may be views into it, valid until its next call.  Neither ``x``
+    nor ``y`` is read when no level of the chunk keeps a term.  A level that
+    keeps no term scores its penalty alone with a NaN slope; a retained
+    regressor of zero norm gets slope 0.  Levels are evaluated in chunks of
     ``_chunk_rows(k)`` levels: at most ``PROFILE_CHUNK_ELEMENTS`` terms, or
     sixteen levels when k is too large for that.
 
@@ -294,51 +290,64 @@ def profile_levels(levels, k: int, terms):
     return loss, slope, k - kept
 
 
-def _plot_terms(model, tail, x, lam):
-    """Plot-fit rows for ``profile_levels``: y = s(1 - F/p) - s_thr against x.
+def _level_terms(model, f, fixed, penalty, f_thr=None):
+    """Rows for ``profile_levels`` from the transform of ``1 - F/level``.
 
-    The transform runs once per distinct curve value, with the threshold
-    as one more column; the curve is constant between event times.
+    The rows are ``u(1 - f/level) - u(1 - f_thr/level)`` with ``u = -s``,
+    or ``u(1 - f/level)`` alone when there is no threshold (Pareto and
+    log-normal only).  With a threshold they are the response against the
+    regressor ``fixed``, as in the plot fit, whose log excesses come
+    negated: negating both sides leaves slope and loss unchanged bit for
+    bit, since IEEE arithmetic is symmetric in sign.  Without one they are
+    the regressor against the response ``fixed``, as in the exceedance fit,
+    whose slope is minus the scale.  ``penalty`` maps the levels to their
+    penalties.  Terms are kept by ``model``'s boundary rule, and an
+    inadmissible threshold drops every term of its level.  The transform
+    runs once per distinct curve value, with the threshold as one more
+    column; the curve is constant between event times.
     """
-    f_dist, gather = _distinct(tail.f_top, costly=model is PlottingModel.LOGNORMAL)
-    f_cols = np.append(f_dist, tail.f_thr)
-    cols = f_cols.size
+    f_dist, gather = _distinct(f, costly=model is PlottingModel.LOGNORMAL)
+    f_cols = f_dist if f_thr is None else np.append(f_dist, f_thr)
+    cols, size = f_cols.size, f_dist.size
 
-    def terms(p, work):
-        rows = p.size
-        penalty = lam * (p - tail.p_n) ** 2
-        # one buffer of transform arguments, the threshold in the last column
-        args = np.divide(f_cols, p[:, None], out=work.floats(2, rows, cols))
+    def terms(levels, work):
+        rows = levels.size
+        # one buffer of transform arguments, any threshold in the last column
+        args = np.divide(f_cols, levels[:, None], out=work.floats(2, rows, cols))
         np.subtract(1.0, args, out=args)
-        t, t_thr = args[:, :-1], args[:, -1:]
-        keep, thr_ok = _term_masks(model, t, t_thr, work.mask(0, rows, cols - 1))
+        ok = _admissible(model, args, work.mask(0, rows, cols))
+        keep = ok if f_thr is None else ok[:, :size]
+        if f_thr is not None and not ok[:, size].all():
+            keep &= ok[:, size:]
         if keep.all():
             keep = None
-        elif not keep.any():
-            # e.g. Weibull and log-normal at F(threshold) = 0
-            return x, None, keep, penalty
         else:
-            np.copyto(t, 0.5, where=np.logical_not(keep, out=work.mask(1, rows, cols - 1)))
-            np.copyto(t_thr, 0.5, where=~thr_ok)
-        # at t_thr == 1 (F(threshold) = 0) only Pareto keeps terms, and -log 1 = 0
-        y = work.floats(3, rows, cols - 1)  # the quantile's scratch until written
-        if model is PlottingModel.WEIBULL:
-            s = _s_values(model, args, out=args)
-            np.subtract(s[:, :-1], s[:, -1:], out=y)
-        else:
-            # s = -u for the other two, and (-u) - (-u_thr) is u_thr - u bit
-            # for bit: IEEE subtraction is symmetric in sign
-            scratch = (work.floats(0, rows, cols), work.floats(1, rows, cols),
-                       work.floats(3, rows, cols))
-            u = _minus_s_values(model, args, out=args, scratch=scratch)
-            np.subtract(u[:, -1:], u[:, :-1], out=y)
-        if gather is not None:
-            # take() keeps rows C-contiguous; y[:, gather] would not
-            y = y.take(gather, axis=1, out=work.floats(2, rows, gather.size), mode="clip")
-            if keep is not None:
+            np.copyto(args, 0.5, where=np.logical_not(ok, out=work.mask(1, rows, cols)))
+            if gather is not None:
                 keep = keep.take(gather, axis=1, out=work.mask(1, rows, gather.size),
                                  mode="clip")
-        return x, y, keep, penalty
+            if not keep.any():
+                # e.g. Weibull and log-normal at F(threshold) = 0
+                return fixed, None, keep, penalty(levels)
+        # at t_thr == 1 (F(threshold) = 0) only Pareto keeps terms, and log 1 = 0
+        if model is PlottingModel.WEIBULL:
+            # s_thr - s is u - u_thr bit for bit
+            s = _s_values(model, args, out=args)
+            w = np.subtract(s[:, size:], s[:, :size], out=work.floats(3, rows, size))
+        else:
+            scratch = None
+            if model is PlottingModel.LOGNORMAL:  # buffer 3 is free until written
+                scratch = tuple(work.floats(i, rows, cols) for i in (0, 1, 3))
+            w = _minus_s_values(model, args, out=args, scratch=scratch)
+            if f_thr is not None:
+                w = np.subtract(w[:, :size], w[:, size:], out=work.floats(3, rows, size))
+        if gather is not None:
+            # take() keeps rows C-contiguous; w[:, gather] would not.  The rows
+            # sit in float buffer 3 with a threshold and in buffer 2 without
+            out = work.floats(2 if f_thr is not None else 3, rows, gather.size)
+            w = w.take(gather, axis=1, out=out, mode="clip")
+        x, y = (w, fixed) if f_thr is None else (fixed, w)
+        return x, y, keep, penalty(levels)
 
     return terms
 
@@ -499,7 +508,7 @@ def pp_loss(model, ordered, curve, k, slope, p, lam, p_n=None):
     penalty = lam * (p - p_n) ** 2
     t_top = 1.0 - tail.f_top / p
     t_thr = np.float64(1.0 - tail.f_thr / p)
-    keep, _ = _term_masks(model, t_top, t_thr)
+    keep = _admissible(model, t_top) & _admissible(model, t_thr)
     if not keep.any():
         return penalty
     s_thr = float(_s_values(model, np.asarray([t_thr]))[0]) if t_thr < 1.0 else 0.0
@@ -522,8 +531,12 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
     x = tail.excesses(log_scale=True)
     if not np.any(x > 0):
         raise DegenerateRegressorError("top k+1 observations coincide; no slope identifiable")
+    # the rows are u - u_thr = s_thr - s, so the regressor goes negated too;
+    # in place, since a copy would stay alive for the whole fit
+    np.negative(x, out=x)
     p_n = tail.p_n
-    terms = _plot_terms(model, tail, x, config.resolved_lam(ordered.n))
+    lam = config.resolved_lam(ordered.n)
+    terms = _level_terms(model, tail.f_top, x, lambda p: lam * (p - p_n) ** 2, tail.f_thr)
     p_hat, (loss, slope, skipped) = minimize_on_interval(
         lambda p: profile_levels(p, config.k, terms), p_n, 1.0,
         config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),

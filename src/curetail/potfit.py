@@ -28,8 +28,8 @@ from .plotfit import (
     _admissible,
     _check_lam,
     _check_level,
-    _distinct,
     _golden_width,
+    _level_terms,
     minimize_on_interval,
     profile_levels,
 )
@@ -116,36 +116,6 @@ def _exceedance_curve(ordered, k, domain):
     return exc.times, exc_curve, np.asarray(km_eval(exc_curve, exc.times))
 
 
-def _pot_terms(e, f_k, lam, tail):
-    """Exceedance-fit rows for ``profile_levels``: e against w = log(1 - F/pi).
-
-    The profiled slope is minus the scale.  The logarithm runs once per
-    distinct value of the conditional curve.  w is minus the Pareto
-    transform of its argument, so terms are kept by that model's rule.
-    """
-    f_dist, gather = _distinct(f_k)
-    cols = f_dist.size
-
-    def terms(pi, work):
-        rows = pi.size
-        arg = np.divide(f_dist, pi[:, None], out=work.floats(2, rows, cols))
-        np.subtract(1.0, arg, out=arg)
-        keep = _admissible(PlottingModel.PARETO, arg, work.mask(0, rows, cols))
-        all_kept = bool(keep.all())
-        if not all_kept:
-            np.copyto(arg, 1.0, where=np.logical_not(keep, out=work.mask(1, rows, cols)))
-        w = np.log(arg, out=arg)
-        if gather is not None:
-            w = w.take(gather, axis=1, out=work.floats(3, rows, gather.size), mode="clip")
-            if not all_kept:
-                keep = keep.take(gather, axis=1, out=work.mask(1, rows, gather.size),
-                                 mode="clip")
-        p = 1.0 - (1.0 - pi) * tail.p_k
-        return w, e, None if all_kept else keep, lam * (p - tail.p_n) ** 2
-
-    return terms
-
-
 def pot_fit(
     ordered: OrderedSample,
     curve: KaplanMeierCurve,
@@ -168,7 +138,10 @@ def pot_fit(
         raise DegenerateExceedancesError("no events among the top k observations")
     pi_lower = float(exc_curve.cdf_values[-1])
 
-    terms = _pot_terms(e, f_k, config.resolved_lam(ordered.n), tail)
+    lam = config.resolved_lam(ordered.n)
+    # e against w = log(1 - F/pi), the Pareto u, with slope minus the scale
+    terms = _level_terms(PlottingModel.PARETO, f_k, e,
+                         lambda pi: lam * (1.0 - (1.0 - pi) * tail.p_k - tail.p_n) ** 2)
     pi_hat, (loss, slope, skipped) = minimize_on_interval(
         lambda pi: profile_levels(pi, config.k, terms), pi_lower, 1.0,
         config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),

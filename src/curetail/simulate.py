@@ -265,8 +265,10 @@ def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSumm
     names = tuple(names)
 
     raw = os.environ.get("CURETAIL_THREADS", "1")
+    # os.sched_getaffinity is missing on macOS and Windows
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     try:
-        workers = min(int(raw), spec.reps, len(os.sched_getaffinity(0)))
+        workers = min(int(raw), spec.reps, cpus or 1)
     except ValueError:
         raise ValidationError(f"CURETAIL_THREADS must be an integer, got {raw!r}") from None
     reps = range(spec.reps)

@@ -41,13 +41,13 @@ from curetail.plotfit import (
     _chunk_rows,
     _distinct,
     _golden_min,
-    _plot_terms,
+    _level_terms,
     _workspace,
     minimize_on_interval,
     profile_levels,
 )
-from curetail.potfit import _pot_terms
 from curetail.survival import top_tail
+from curetail.transforms import _s_values
 
 RTOL = 1e-11
 K_VALUES = (3, 40, 399)
@@ -87,16 +87,24 @@ def checked_indices(size, k):
     return sorted({i for i in (*near, *spread, size - 1) if 0 <= i < size})
 
 
-def plot_skipped(model, f_top, f_thr, p):
-    """Terms the plot loss drops at level p, from the boundary rule."""
+def plot_kept(model, f_top, f_thr, p):
+    """Where the plot loss keeps a term at level p, from the boundary rule:
+    the argument 1 - F/p of the term, and of the threshold unless ``f_thr``
+    is None, must stay above BOUNDARY_EPS, and below 1 - BOUNDARY_EPS for
+    the two models other than Pareto."""
     t = 1.0 - f_top / p
-    t_thr = 1.0 - f_thr / p
+    t_thr = 0.5 if f_thr is None else 1.0 - f_thr / p
     if model is PlottingModel.PARETO:
         keep, thr_ok = t > BOUNDARY_EPS, t_thr > BOUNDARY_EPS
     else:
         keep = (t > BOUNDARY_EPS) & (t < 1.0 - BOUNDARY_EPS)
         thr_ok = BOUNDARY_EPS < t_thr < 1.0 - BOUNDARY_EPS
-    return f_top.size if not thr_ok else int(f_top.size - np.count_nonzero(keep))
+    return keep & thr_ok
+
+
+def plot_skipped(model, f_top, f_thr, p):
+    """Terms the plot loss drops at level p, from the boundary rule."""
+    return int(f_top.size - np.count_nonzero(plot_kept(model, f_top, f_thr, p)))
 
 
 class PlotCase:
@@ -108,13 +116,18 @@ class PlotCase:
         self.terms = self.make_terms()
 
     def make_terms(self):
-        return _plot_terms(self.model, self.tail, self.tail.excesses(log_scale=True), self.lam)
+        # as pp_fit builds them: the negated log excesses are the regressor
+        return _level_terms(self.model, self.f_top, -self.tail.excesses(log_scale=True),
+                            self.penalty, self.f_thr)
 
     def run(self, levels):
         return profile_levels(np.asarray(levels, dtype=float), self.k, self.terms)
 
     def scalar_loss(self, slope, p):
         return pp_loss(self.model, self.ordered, self.curve, self.k, slope, p, self.lam, self.p_n)
+
+    def penalty(self, p):
+        return self.lam * (p - self.p_n) ** 2
 
 
 class PotCase:
@@ -133,7 +146,7 @@ class PotCase:
         self.terms = self.make_terms()
 
     def make_terms(self):
-        return _pot_terms(self.e, self.f_k, self.lam, self.tail)
+        return _level_terms(PlottingModel.PARETO, self.f_k, self.e, self.penalty)
 
     def run(self, levels):
         return profile_levels(np.asarray(levels, dtype=float), self.k, self.terms)
@@ -227,6 +240,50 @@ def test_inadmissible_threshold_row():
         loss, slope, skipped = case.run([p])
         assert skipped[0] == 40 and math.isnan(slope[0])
         assert loss[0] == pytest.approx(case.lam * (p - case.p_n) ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+@pytest.mark.parametrize("model, f_thr", [(m, f_thr) for m in PLOT_TAILS for f_thr in (0.15, 0.0)]
+                         + [(PlottingModel.PARETO, None)])
+def test_level_terms_rows_follow_the_definition(model, f_thr, repeated):
+    # on the kept terms the rows are u(1 - F/p) - u(1 - F_thr/p) with
+    # u = -s, or u(1 - F/p) without a threshold, bit for bit; the mask is
+    # plot_kept's.  A curve with repeated values takes the gather path.  At
+    # F_thr = 0 the threshold's argument is 1, which drops every term but
+    # Pareto's; above it, a level drops what its own terms' arguments drop.
+    rng = np.random.default_rng(12)
+    if repeated:
+        f = np.repeat(np.sort(rng.uniform(0.2, 0.75, 4)), [3, 2, 4, 3])
+    else:
+        f = np.sort(rng.uniform(0.2, 0.75, 12))
+    fixed = rng.standard_normal(f.size)
+    terms = _level_terms(model, f, fixed, lambda p: 2.0 * p, f_thr)
+    dist = np.unique(f)
+    groups = {"all": [0.8, 0.9, 1.0], "some": [dist[2], (dist[0] + dist[1]) / 2],
+              "none": [dist[0], *([f_thr] if f_thr else [])]}
+    kept_range = {"all": (f.size, f.size), "some": (1, f.size - 1), "none": (0, 0)}
+    if f_thr == 0.0 and model is not PlottingModel.PARETO:
+        kept_range = dict.fromkeys(kept_range, (0, 0))
+    for name, levels in [*groups.items(), ("mixed", sum(groups.values(), []))]:
+        levels = np.array(levels)
+        want_keep = np.array([plot_kept(model, f, f_thr, p) for p in levels])
+        low, high = kept_range.get(name, (0, f.size))
+        assert np.all((low <= want_keep.sum(axis=1)) & (want_keep.sum(axis=1) <= high))
+        x, y, keep, penalty = terms(levels, _workspace(f.size))
+        assert_same_bits(penalty, 2.0 * levels)
+        assert (keep is None) == want_keep.all()
+        assert_array_equal(want_keep if keep is None else keep, want_keep)
+        if not want_keep.any():
+            continue  # no row is built or read
+        rows, regressor_or_response = (x, y) if f_thr is None else (y, x)
+        assert regressor_or_response is fixed
+        for row, kept, p in zip(rows, want_keep, levels.tolist()):
+            if not kept.any():
+                continue  # the threshold's argument may sit on the boundary
+            want = -_s_values(model, 1.0 - f[kept] / p)
+            if f_thr is not None:
+                want = want - -_s_values(model, np.array([1.0 - f_thr / p]))
+            assert_same_bits(row[kept], want)
 
 
 def test_threshold_below_first_event():

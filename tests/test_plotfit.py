@@ -21,6 +21,7 @@ from curetail import (
     pp_fit,
     pp_loss,
 )
+from curetail.estimators import fit_fields, fit_series
 
 ALL_MODELS = (PlottingModel.PARETO, PlottingModel.WEIBULL, PlottingModel.LOGNORMAL)
 
@@ -256,6 +257,14 @@ class TestPpFit:
         o, c = prepared(np.random.default_rng(1))
         with pytest.raises(ValidationError, match="requires a fit configuration"):
             fit_estimate("weibull", o, c, None)
+
+    @pytest.mark.parametrize("helper", [fit_fields, fit_series])
+    @pytest.mark.parametrize("name", ["pn", "no-such-model"])
+    def test_fit_helpers_take_fitted_models_only(self, helper, name):
+        # pn is an estimator without a fit, so it has no record or series
+        o, c = prepared(np.random.default_rng(1))
+        with pytest.raises(ValidationError, match="has no fit"):
+            helper(name, o, c, FitConfig(k=10))
 
     def test_config_validation(self):
         with pytest.raises(InvalidKError):

@@ -214,6 +214,31 @@ class TestScenarioSpec:
                 ScenarioSpec(**kwargs)
 
 
+def inline_pool(monkeypatch):
+    """Replace the process pool with one that maps inline and return the
+    list its sizes are recorded in: a real pool forks every requested
+    worker at the first submit."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 class TestRunScenario:
     def test_summary_definitions(self):
         spec = scenario_spec(2, n=80, reps=6, p=0.8, seed=7)
@@ -254,32 +279,24 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("reps, cpus, workers", [(3, 8, 3), (6, 2, 2), (4, 1, None)])
     def test_pool_is_capped_by_replications_and_cpus(self, monkeypatch, reps, cpus, workers):
-        # a fake pool that records its size and maps inline: a real one
-        # forks every requested worker at the first submit
-        import concurrent.futures
-
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        sizes = inline_pool(monkeypatch)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setenv("CURETAIL_THREADS", "1000")
         spec = scenario_spec(2, n=60, reps=reps, p=0.8, seed=7)
         out = run_scenario(spec)
         assert sizes == ([] if workers is None else [workers])
         assert out[0].estimates.size == reps
+
+    @pytest.mark.parametrize("cpus, workers", [(8, 3), (1, None), (None, None)])
+    def test_cpu_count_caps_the_pool_without_affinity(self, monkeypatch, cpus, workers):
+        # macOS and Windows have no os.sched_getaffinity
+        sizes = inline_pool(monkeypatch)
+        monkeypatch.delattr("os.sched_getaffinity")
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setenv("CURETAIL_THREADS", "1000")
+        out = run_scenario(scenario_spec(2, n=60, reps=3, p=0.8, seed=7))
+        assert sizes == ([] if workers is None else [workers])
+        assert out[0].estimates.size == 3
 
     def test_failed_fits_are_counted_and_excluded(self, monkeypatch):
         import curetail.simulate as sim

@@ -2,8 +2,9 @@
 
 ``import curetail`` is lazy, so it loads no numpy; ``curetail.cli`` asks
 OpenBLAS for one thread unless the user chose a count or numpy was loaded
-first.  Each test runs its code in a new ``python -c`` process, since the
-test process has long since loaded numpy.
+first, and a fit's bits do not depend on that count.  Each test runs its
+code in a new ``python -c`` process, since the test process has long since
+loaded numpy.
 """
 import json
 import os
@@ -16,6 +17,8 @@ import curetail
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                                 reason="counts threads through /proc/self/task")
+needs_two_cpus = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                                    reason="OpenBLAS starts no more threads than usable CPUs")
 
 
 def run_fresh(code, **env):
@@ -84,8 +87,7 @@ def test_cli_import_starts_one_blas_thread():
 
 
 @needs_proc
-@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
-                    reason="OpenBLAS starts no more threads than usable CPUs")
+@needs_two_cpus
 def test_user_blas_thread_count_wins():
     got = run_fresh("import curetail\n"
                     "tasks = [len(os.listdir('/proc/self/task'))]\n"
@@ -100,3 +102,19 @@ def test_numpy_loaded_first_keeps_environment():
     code = "import curetail.cli\nprint(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
     assert run_fresh(code, OPENBLAS_NUM_THREADS=None) == "1"
     assert run_fresh("import numpy\n" + code, OPENBLAS_NUM_THREADS=None) is None
+
+
+@needs_two_cpus
+def test_fit_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product of more than 10 000 terms across its
+    # threads; at k = 10 001 every kernel row is longer than that
+    code = ("from curetail import FitConfig, km_fit, order_sample\n"
+            "from curetail.estimators import MODEL_NAMES, fit_fields\n"
+            "from curetail.simulate import sample_scenario, scenario_spec\n"
+            "o = order_sample(sample_scenario(scenario_spec(2, 20000, 1, 0.8, 11), 0))\n"
+            "c = km_fit(o)\n"
+            "print(json.dumps([repr(fit_fields(name, o, c, FitConfig(k=10001)))\n"
+            "                  for name in MODEL_NAMES]))")
+    one, two = (run_fresh(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert len(one) == 5
+    assert one == two
