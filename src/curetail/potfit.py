@@ -1,12 +1,15 @@
 """Cure-fraction estimation from exceedances over a high threshold.
 
-Excesses of the top k observations over the (k+1)-th largest carry their
-own censored sub-sample; a product-limit curve fitted to them plays the
-role the full curve plays in the plot fits.  The Gumbel variant matches
-raw excesses against exponential quantiles, the Frechet variant matches
-log-excesses.  The conditional cure level pi of the exceedance law is
-estimated jointly with the scale, and the unconditional cure fraction is
-recovered through the tail probability of the threshold.
+The top k observations, above the (k+1)-th largest (the threshold), carry
+their own censored sub-sample; its product-limit curve estimates the law
+above the threshold and plays the role the full curve plays in the plot
+fits.  An event at the threshold time is already in the curve at the
+threshold, so this curve counts it as censored.  Both variants read the
+same curve: the Gumbel variant matches raw excesses against exponential
+quantiles, the Frechet variant matches log-excesses.  The conditional
+cure level pi of the exceedance law is estimated jointly with the scale,
+and the unconditional cure fraction is recovered through the tail
+probability of the threshold.
 """
 from __future__ import annotations
 
@@ -33,14 +36,7 @@ from .plotfit import (
     minimize_on_interval,
     profile_levels,
 )
-from .survival import (
-    KaplanMeierCurve,
-    OrderedSample,
-    exceedances,
-    km_eval,
-    km_fit,
-    top_tail,
-)
+from .survival import KaplanMeierCurve, OrderedSample, km_eval, km_fit, top_tail
 from .transforms import PlottingModel
 
 __all__ = ["PotDomain", "PotFit", "pot_loss", "pot_fit", "pot_gof_series"]
@@ -106,14 +102,16 @@ def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
     return float(r @ r) + penalty
 
 
-def _exceedance_curve(ordered, k, domain):
-    """Excesses of the top k (log excesses for Frechet), their product-limit
-    curve and its values at them."""
+def _exceedance_curve(tail, domain):
+    """Excesses of the top k (log excesses for Frechet) and the exceedance
+    curve at them: the product-limit curve of the top k alone, the same for
+    both domains."""
     if not isinstance(domain, PotDomain):
         raise ValidationError(f"unknown exceedance domain {domain!r}")
-    exc = exceedances(ordered, k, log_scale=domain is PotDomain.FRECHET)
-    exc_curve = km_fit(exc)
-    return exc.times, exc_curve, np.asarray(km_eval(exc_curve, exc.times))
+    e = tail.excesses(log_scale=domain is PotDomain.FRECHET)
+    # the top k are sorted with events first, and stay so with fewer events
+    top = OrderedSample(tail.times, tail.exceedance_events())
+    return e, km_eval(km_fit(top), tail.times)
 
 
 def pot_fit(
@@ -129,14 +127,15 @@ def pot_fit(
     refinement over its feasible interval, smallest level winning ties.
     """
     tail = top_tail(ordered, curve, config.k)
-    e, exc_curve, f_k = _exceedance_curve(ordered, config.k, domain)
+    e, f_k = _exceedance_curve(tail, domain)
     if float(e.max()) <= 0.0:
         raise DegenerateExceedancesError("all exceedances are zero")
     if float(e.max()) * math.sqrt(e.size) > _MAX_EXCESS_NORM:
         raise DegenerateExceedancesError("exceedances too large: their squared sum overflows")
-    if exc_curve.jump_times.size == 0:
-        raise DegenerateExceedancesError("no events among the top k observations")
-    pi_lower = float(exc_curve.cdf_values[-1])
+    # every jump of the curve lifts it above 0, and the last time is past them all
+    pi_lower = float(f_k[-1])
+    if pi_lower == 0.0:
+        raise DegenerateExceedancesError("no events above the threshold among the top k")
 
     lam = config.resolved_lam(ordered.n)
     # e against w = log(1 - F/pi), the Pareto u, with slope minus the scale
@@ -168,7 +167,7 @@ def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
     _check_level(pi_hat, "pi", InfeasiblePiError)
     check_real(scale_hat, "scale must be a positive real", lambda v: v > 0)
     tail = top_tail(ordered, curve, k)
-    e, _, f_k = _exceedance_curve(ordered, tail.k, domain)
+    e, f_k = _exceedance_curve(tail, domain)
     arg = 1.0 - f_k / pi_hat
     keep = _admissible(PlottingModel.PARETO, arg)
     x = e[keep]

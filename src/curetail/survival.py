@@ -215,6 +215,10 @@ class TopTail:
         """Excesses of ``times`` over the threshold; see :func:`exceedances`."""
         return _excesses(self.threshold, self.times, log_scale)
 
+    def exceedance_events(self) -> np.ndarray:
+        """``events`` as exceedance indicators; see :func:`exceedances`."""
+        return _exceedance_events(self.threshold, self.times, self.events)
+
 
 def _top(ordered: OrderedSample, k: int, least: int):
     """The threshold (the (k+1)-th largest time), the k largest times and
@@ -231,6 +235,11 @@ def _excesses(threshold: float, times: np.ndarray, log_scale: bool) -> np.ndarra
     if threshold <= 0.0:
         raise NonPositiveThresholdError(f"log excesses need a positive threshold, got {threshold}")
     return np.log(times) - math.log(threshold)
+
+
+def _exceedance_events(threshold: float, times: np.ndarray, events: np.ndarray) -> np.ndarray:
+    # an event at the threshold time is already in F(threshold), so it is no exceedance
+    return np.where(times > threshold, events, 0)
 
 
 def top_tail(ordered: OrderedSample, curve: KaplanMeierCurve, k: int) -> TopTail:
@@ -255,11 +264,14 @@ def exceedances(ordered: OrderedSample, k: int, log_scale: bool = False) -> Surv
     """Excesses of the top k observations over the (k+1)-th largest.
 
     Returns the k exceedances paired with the censoring indicators of the
-    originating observations.  With ``log_scale`` the excesses are taken on
-    the log scale, which requires a strictly positive threshold.
+    originating observations, except that an event at the threshold time
+    counts as censored: the curve at the threshold already holds it.  With
+    ``log_scale`` the excesses are taken on the log scale, which requires a
+    strictly positive threshold.
     """
     threshold, times, events = _top(ordered, k, 1)
-    return SurvivalSample(_excesses(threshold, times, log_scale), events)
+    return SurvivalSample(_excesses(threshold, times, log_scale),
+                          _exceedance_events(threshold, times, events))
 
 
 def apply_insufficiency(sample: SurvivalSample, fraction: float) -> SurvivalSample:

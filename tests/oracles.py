@@ -110,10 +110,11 @@ def grid_oracle(times, events, k, model, lam, stages=3, points=600):
     within ties; the top k times lie above the threshold, the (k+1)-th
     largest.  ``model`` is a plot model of TRANSFORMS (level p, slope on
     the log excesses) or "gumbel-pot" / "frechet-pot" (conditional level
-    pi on the exceedance curve of the raw or log excesses, slope the
-    scale).  The level grid of ``points`` zooms ``stages`` times from the
-    curve's value at the largest time up to 1 and finishes with the two
-    boundary candidates; the first of equal losses wins.  Levels are
+    pi on the product-limit curve of the raw or log excesses, with the
+    events at the threshold time censored, slope the scale).  The level
+    grid of ``points`` zooms ``stages`` times from the curve's value at
+    the largest time up to 1 and finishes with the two boundary
+    candidates; the first of equal losses wins.  Levels are
     evaluated in blocks of at most BLOCK_ELEMENTS terms.  Returns the
     minimizing level, its slope and its loss.
     """
@@ -125,7 +126,8 @@ def grid_oracle(times, events, k, model, lam, stages=3, points=600):
         rows, lower, unit, offset = _plot_rows(model, f[:-1], f[-1], log_e, p_n, lam), p_n, 1.0, 0
     else:
         e = log_e if model == "frechet-pot" else top - thr
-        f_exc = km_direct_eval(e, events[-k:], e)
+        # an event at the threshold time is in F(thr) already, not an exceedance
+        f_exc = km_direct_eval(e, np.where(top > thr, events[-k:], 0), e)
         rows, lower = _pot_rows(e, f_exc, 1.0 - f[-1], p_n, lam), f_exc[-1]
         unit, offset = 0.5 * (float(np.mean(e)) + 1.0), 1
 

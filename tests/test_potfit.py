@@ -1,7 +1,7 @@
 """Exceedance losses, the joint scale/level fit and its diagnostics."""
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from oracles import grid_oracle
 
 from curetail import (
@@ -22,6 +22,8 @@ from curetail import (
     pot_gof_series,
     pot_loss,
 )
+from curetail.potfit import _exceedance_curve
+from curetail.survival import top_tail
 
 
 def mixture_sample(rng, n, p, tail="exp"):
@@ -287,6 +289,53 @@ class TestPotFit:
         o, c = prepared(np.random.default_rng(3), n=50)
         with pytest.raises(ValidationError):
             pot_fit(o, c, "gumbel", FitConfig(k=10))
+
+
+def threshold_tied_sample(events):
+    """Ten times with a tie at 4, the threshold of the top 6, two of which
+    sit at 4; ``events`` gives the indicators in sorted order."""
+    times = [1.0, 2.0, 3.0, 4.0, 4.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    o = order_sample(SurvivalSample(times, events))
+    return o, km_fit(o)
+
+
+class TestEventAtThreshold:
+    """A top-k event at the threshold time is in F(threshold) already, so
+    the exceedance curve counts it as censored."""
+
+    EVENTS = [1, 0, 1, 1, 1, 0, 1, 0, 1, 0]
+
+    def test_penalty_limit_recovers_the_benchmark(self):
+        o, c = threshold_tied_sample(self.EVENTS)
+        for domain in PotDomain:
+            fit = pot_fit(o, c, domain, FitConfig(k=6, lam=1e12))
+            assert abs(fit.p_hat - p_benchmark(c, o)) <= 1e-12
+
+    def test_both_domains_read_one_curve(self):
+        o, c = threshold_tied_sample(self.EVENTS)
+        tail = top_tail(o, c, 6)
+        (e_g, f_g), (e_f, f_f) = (_exceedance_curve(tail, d) for d in PotDomain)
+        assert_array_equal(f_g, f_f)
+        assert_array_equal(e_g, tail.excesses())
+        assert_array_equal(e_f, tail.excesses(log_scale=True))
+        # no jump at the threshold; jumps at 5 (4 at risk) and at 7 (2 at risk)
+        assert_allclose(f_g, [0.0, 0.0, 0.25, 0.25, 1.0 - 0.75 * 0.5, 1.0 - 0.75 * 0.5])
+
+    def test_public_loss_reproduces_the_fit(self):
+        o, c = threshold_tied_sample(self.EVENTS)
+        for domain in PotDomain:
+            fit = pot_fit(o, c, domain, FitConfig(k=6))
+            exc = exceedances(o, 6, log_scale=domain is PotDomain.FRECHET)
+            loss = pot_loss(km_fit(exc), exc.times, fit.scale_hat, fit.pi_hat, 6 / o.n,
+                            p_benchmark(c, o), fit.p_k)
+            assert_allclose(loss, fit.loss, rtol=1e-12)
+
+    def test_no_event_above_the_threshold(self):
+        # the one top-k event sits at the threshold, so no exceedance is observed
+        o, c = threshold_tied_sample([1, 0, 1, 1, 1, 0, 0, 0, 0, 0])
+        for domain in PotDomain:
+            with pytest.raises(DegenerateExceedancesError, match="no events above"):
+                pot_fit(o, c, domain, FitConfig(k=6))
 
 
 class TestPotGofSeries:

@@ -39,7 +39,7 @@ def samples(draw):
     return SurvivalSample(times * (2.5 / grid), events.astype(int)), k, order
 
 
-def fits(sample, k):
+def fits(sample, k, lam=None):
     """The fit of every model, or the class of the error it raised, and p_n."""
     ordered = order_sample(sample)
     curve = km_fit(ordered)
@@ -47,9 +47,9 @@ def fits(sample, k):
     for model in MODELS:
         try:
             if isinstance(model, PotDomain):
-                out[model] = pot_fit(ordered, curve, model, FitConfig(k=k))
+                out[model] = pot_fit(ordered, curve, model, FitConfig(k=k, lam=lam))
             else:
-                out[model] = pp_fit(ordered, curve, FitConfig(k=k, model=model))
+                out[model] = pp_fit(ordered, curve, FitConfig(k=k, model=model, lam=lam))
         except CuretailError as exc:
             out[model] = type(exc)
     return out, p_benchmark(curve, ordered)
@@ -77,6 +77,18 @@ def test_p_hat_lies_between_benchmark_and_one(case):
         # the exceedance fit recovers p from pi, which may round below p_n
         slack = 1e-12 if isinstance(model, PotDomain) else 0.0
         assert p_n - slack <= fit.p_hat <= 1.0, (model, fit)
+
+
+@settings(max_examples=60)
+@given(samples())
+def test_penalty_limit_pins_the_benchmark(case):
+    # criterion 3's limit and tolerance; the tied times put events at the
+    # threshold, which the exceedance curve must not count a second time
+    sample, k, _ = case
+    out, p_n = fits(sample, k, lam=1e12)
+    for model, fit in out.items():
+        if not isinstance(fit, type):
+            assert abs(fit.p_hat - p_n) <= 1e-6, (model, fit)
 
 
 @settings(max_examples=60)

@@ -168,6 +168,17 @@ class TestExceedances:
         # raw excesses over a zero threshold stay legal
         assert_allclose(exceedances(o, 2).times, [1.0, 2.0])
 
+    def test_event_at_the_threshold_is_censored(self):
+        # the tie at 4 ranks events first: the threshold is its first event,
+        # and the top 6 hold its second event, which F(4) already counts
+        o = order_sample(SurvivalSample([1.0, 2.0, 3.0, 4.0, 4.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+                                        [1, 0, 1, 1, 1, 0, 1, 0, 1, 0]))
+        for log_scale in (False, True):
+            exc = exceedances(o, 6, log_scale=log_scale)
+            assert exc.times[0] == 0.0
+            assert_array_equal(exc.events, [0, 0, 1, 0, 1, 0])
+        assert_array_equal(top_tail(o, km_fit(o), 6).exceedance_events(), exc.events)
+
     def test_exceedance_curve_stays_below_one_when_top_censored(self):
         rng = np.random.default_rng(8)
         times = rng.exponential(1.0, 50)

@@ -54,3 +54,11 @@ def test_arguments_read_by_position_keep_their_names(tracing):
         assert (modname, attr) in hooked
         params = list(inspect.signature(resolve(modname, attr)).parameters)
         assert {pos: params[pos] for pos in names} == names, f"{modname}.{attr}"
+
+
+def test_both_fit_modules_bind_the_level_search():
+    # the tracer tells the plotfit.* layers from the potfit.* ones by the
+    # module whose binding a call goes through, so each fit module keeps its own
+    for modname in ("curetail.plotfit", "curetail.potfit"):
+        for attr in ("minimize_on_interval", "profile_levels"):
+            assert attr in vars(importlib.import_module(modname)), f"{modname}.{attr}"
