@@ -20,6 +20,13 @@ __all__ = ["CensoringTail", "h_gamma", "sigma2_k"]
 # integral is evaluated as its log limit
 _SINGULARITY_EPS = 1e-12
 
+# Indices j per block of ``sigma2_k``'s pass; only the summands, one float
+# per index, outlive a block.  A block's temporaries of 64 KiB stay on the
+# heap; at 1 << 14 each is glibc's 128 KiB mmap threshold, so every one is
+# mapped and faulted anew (k = 10^6: 9 300 minor faults per `diag` process
+# against 5 200, the import alone taking 4 700).
+_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class CensoringTail:
@@ -64,9 +71,15 @@ def sigma2_k(tail: CensoringTail) -> float:
     """
     k = tail.k
     g = tail.gamma_c
-    j = np.arange(1, k + 1, dtype=float)
-    a = 1.0 - np.power(j / (k + 1), -g)
-    prefix = np.cumsum(a)
-    h = _h_values(g, (k + 1) / j)
-    total = float(np.sum(a * (2.0 * (prefix - a) + a) * h))
+    terms = np.empty(k)
+    prefix_end = 0.0
+    for start in range(0, k, _BLOCK):
+        j = np.arange(start + 1, min(start + _BLOCK, k) + 1, dtype=float)
+        a = 1.0 - np.power(j / (k + 1), -g)
+        # the carry enters as the first addend, so the prefix sums keep the
+        # left-to-right order of one cumulative sum over all k terms
+        prefix = np.cumsum(np.concatenate(([prefix_end], a)))[1:]
+        prefix_end = prefix[-1]
+        terms[start:start + j.size] = a * (2.0 * (prefix - a) + a) * _h_values(g, (k + 1) / j)
+    total = float(np.sum(terms))
     return total / k**2

@@ -1,12 +1,13 @@
 """Tail integral and the benchmark variance constant."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import sigma2_naive
 
-from curetail import CensoringTail, ValidationError, h_gamma, sigma2_k
+from curetail import CensoringTail, ValidationError, asymptotics, h_gamma, sigma2_k
 
 # frozen outputs of the O(k^2) double-sum oracle in oracles.py
 SIGMA2_HALF_K2 = 0.08659880337724826
@@ -103,3 +104,38 @@ class TestSigma2:
             CensoringTail(-1.0, 5, 5)
         with pytest.raises(ValidationError):
             CensoringTail(-1.0, 5, 4)
+
+
+def one_pass(gamma_c, k):
+    """``sigma2_k`` as one pass over whole k-float arrays, on the package's
+    own ``_h_values``: every summand and both sums in the blocked pass's
+    order, so the two agree bit for bit."""
+    j = np.arange(1, k + 1, dtype=float)
+    a = 1.0 - np.power(j / (k + 1), -gamma_c)
+    prefix = np.cumsum(a)
+    h = asymptotics._h_values(gamma_c, (k + 1) / j)
+    return float(np.sum(a * (2.0 * (prefix - a) + a) * h)) / k**2
+
+
+class TestBlockedPass:
+    B = asymptotics._BLOCK
+
+    @pytest.mark.parametrize("k", [B - 1, B, B + 1, 3 * B + 7, 10**6])
+    @pytest.mark.parametrize("g", [-0.5, -1.0, -2.25])
+    def test_bit_equal_to_one_pass(self, k, g):
+        assert sigma2_k(CensoringTail(g, k, k + 1)).hex() == one_pass(g, k).hex()
+
+    def test_holds_one_float_per_index(self):
+        # the summands are k floats; a block's temporaries add a few
+        # blocks, so the peak stays under 1.25 floats per index
+        k = 10**6
+        tail = CensoringTail(-0.75, k, k + 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sigma2_k(tail)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * k

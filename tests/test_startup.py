@@ -17,6 +17,8 @@ import curetail
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                                 reason="counts threads through /proc/self/task")
+needs_linux = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                 reason="reads ru_maxrss in KiB, as Linux reports it")
 needs_two_cpus = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                                     reason="OpenBLAS starts no more threads than usable CPUs")
 
@@ -118,3 +120,20 @@ def test_fit_bits_do_not_depend_on_blas_threads():
     one, two = (run_fresh(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
     assert len(one) == 5
     assert one == two
+
+
+@needs_linux
+def test_diag_holds_little_beyond_the_import():
+    # a child's ru_maxrss counts the pages it shared with its parent before
+    # exec, so a numpy-free launcher starts both children; at k = 10^6 the
+    # variance constant's summands are 8 MB, and five such arrays were 40
+    got = run_fresh(
+        "import resource, subprocess\n"
+        "def peak(*args):\n"
+        "    subprocess.run([sys.executable, *args], check=True, stdout=subprocess.DEVNULL)\n"
+        "    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([peak('-c', 'import curetail.cli'),\n"
+        "                  peak('-m', 'curetail.cli', 'diag', '--gamma-c', '-0.75',\n"
+        "                       '--k', '1000000')]))")
+    imported, diag = got
+    assert diag - imported <= 16 * 1024
