@@ -47,7 +47,11 @@ def _h_values(gamma_c: float, t: np.ndarray) -> np.ndarray:
     ex = 1.0 + gamma_c
     if abs(ex) < _SINGULARITY_EPS:
         return np.log(t)
-    return (np.power(t, ex) - 1.0) / ex
+    # expm1 keeps the digits that t**ex - 1 cancels when t**ex is near 1;
+    # an exponent far below zero makes ex * log(t) -inf, and expm1 gives the
+    # limit -1 that t**ex - 1 reaches there
+    with np.errstate(over="ignore"):
+        return np.expm1(ex * np.log(t)) / ex
 
 
 def h_gamma(gamma_c: float, t: float) -> float:

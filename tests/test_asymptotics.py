@@ -28,13 +28,23 @@ class TestHGamma:
         assert h_gamma(-0.5, 4.0) == 2.0
 
     def test_continuity_at_log_branch(self):
-        # the direct formula cancels to ~1e-7 float noise at exponent 1e-9,
-        # so the continuity check gets a correspondingly loose tolerance
+        # at exponent ex the integral is log(t) (1 + ex log(t) / 2 + ...),
+        # about 4.5e-9 above log(t) at ex = 1e-9, t = 20
         for t in (1.5, 3.0, 20.0):
-            assert abs(h_gamma(-1.0 + 1e-9, t) - math.log(t)) <= 1e-6
-            assert abs(h_gamma(-1.0 - 1e-9, t) - math.log(t)) <= 1e-6
+            for g in (-1.0 + 1e-9, -1.0 - 1e-9):
+                x = (1.0 + g) * math.log(t)
+                assert_allclose(h_gamma(g, t), math.log(t) * (1 + x / 2 + x * x / 6), rtol=2e-15)
             # inside the switch window the log branch is used verbatim
             assert h_gamma(-1.0 + 1e-13, t) == math.log(t)
+
+    def test_accurate_next_to_log_branch(self):
+        mpmath = pytest.importorskip("mpmath")
+        for g in (-1.0 + 2e-12, -1.0 - 2e-12, -1.0 + 1e-10, -1.0 + 1e-6):
+            ex = mpmath.mpf(1.0 + g)
+            for t in (1.0 + 1e-6, 1.05, 2.0, 1e3):
+                with mpmath.workdps(40):
+                    want = float(mpmath.expm1(ex * mpmath.log(mpmath.mpf(t))) / ex)
+                assert_allclose(h_gamma(g, t), want, rtol=1e-15)
 
     def test_matches_quadrature(self):
         quad = pytest.importorskip("scipy.integrate").quad
@@ -77,6 +87,19 @@ class TestSigma2:
                 got = sigma2_k(CensoringTail(g, k, k + 1))
                 want = sigma2_naive(g, k)
                 assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    def test_accurate_next_to_log_branch(self):
+        mpmath = pytest.importorskip("mpmath")
+        k = 20
+        for g in (-1.0 + 2e-12, -1.0 + 1e-10, -1.0 - 1e-10):
+            with mpmath.workdps(40):
+                gm = mpmath.mpf(g)
+                a = [1 - mpmath.mpf(j) ** -gm / (k + 1) ** -gm for j in range(1, k + 1)]
+                h = [mpmath.expm1((1 + gm) * mpmath.log(mpmath.mpf(k + 1) / j)) / (1 + gm)
+                     for j in range(1, k + 1)]
+                want = float(sum(a[i] * a[j] * h[max(i, j)]
+                                 for i in range(k) for j in range(k)) / k**2)
+            assert_allclose(sigma2_k(CensoringTail(g, k, k + 1)), want, rtol=1e-14)
 
     def test_positive(self):
         for g in (-0.1, -1.0, -4.0):
