@@ -4,7 +4,9 @@ Under heavy censoring the benchmark p_n fluctuates with a variance driven
 by the censoring tail index gamma_c < 0 and the number of top order
 statistics k.  The double sum below evaluates that variance constant; a
 prefix-sum regrouping over the pair maximum brings the cost down to O(k)
-without changing the summands.
+without changing the summands.  The pass runs over blocks of indices and
+keeps one float per index, the summands (about 80 MB at k = 10^7), and
+the tail integral stays accurate next to its log limit at gamma_c = -1.
 """
 from __future__ import annotations
 
