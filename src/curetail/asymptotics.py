@@ -23,10 +23,10 @@ __all__ = ["CensoringTail", "h_gamma", "sigma2_k"]
 _SINGULARITY_EPS = 1e-12
 
 # Indices j per block of ``sigma2_k``'s pass; only the summands, one float
-# per index, outlive a block.  A block's temporaries of 64 KiB stay on the
-# heap; at 1 << 14 each is glibc's 128 KiB mmap threshold, so every one is
-# mapped and faulted anew (k = 10^6: 9 300 minor faults per `diag` process
-# against 5 200, the import alone taking 4 700).
+# per index, outlive a block.  A block's temporaries of 64 KiB come from
+# the heap.  At 1 << 14 each reaches glibc's 128 KiB mmap threshold and is
+# mapped and faulted anew: a `diag --k 1000000` process took 9 300 minor
+# faults against 5 200 (4 700 of them the import; glibc 2.36, numpy 2.4).
 _BLOCK = 1 << 13
 
 

@@ -125,8 +125,9 @@ def test_fit_bits_do_not_depend_on_blas_threads():
 @needs_linux
 def test_diag_holds_little_beyond_the_import():
     # a child's ru_maxrss counts the pages it shared with its parent before
-    # exec, so a numpy-free launcher starts both children; at k = 10^6 the
-    # variance constant's summands are 8 MB, and five such arrays were 40
+    # exec, so a numpy-free launcher starts both children.  At k = 10^6 the
+    # variance constant keeps its summands, 8 MB, and block temporaries;
+    # five whole-length arrays would be 40 MB
     got = run_fresh(
         "import resource, subprocess\n"
         "def peak(*args):\n"
