@@ -87,5 +87,4 @@ def sigma2_k(tail: CensoringTail) -> float:
         prefix = np.cumsum(np.concatenate(([prefix_end], a)))[1:]
         prefix_end = prefix[-1]
         terms[start:start + j.size] = a * (2.0 * (prefix - a) + a) * _h_values(g, (k + 1) / j)
-    total = float(np.sum(terms))
-    return total / k**2
+    return float(np.sum(terms)) / k**2
