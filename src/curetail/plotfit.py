@@ -24,14 +24,13 @@ from .errors import (
     check_int,
     check_real,
 )
-from .survival import KaplanMeierCurve, OrderedSample, p_benchmark, top_tail
-from .transforms import PlottingModel, _minus_s_values, _s_values
+from .survival import KaplanMeierCurve, OrderedSample, top_tail
+from .transforms import PlottingModel, _s_values
 
 __all__ = [
     "FitConfig",
     "CureFit",
     "PlotSeries",
-    "p_benchmark",
     "pp_loss",
     "pp_fit",
     "gof_series",
@@ -193,20 +192,16 @@ def _golden_width(k: int) -> int:
 
 
 class _Workspace:
-    """Scratch memory for ``profile_levels`` chunks of ``k`` terms.
+    """Scratch memory for ``profile_levels`` chunks of ``k`` terms: four
+    float and two boolean buffers of ``_chunk_rows(k)`` levels by ``k + 1``
+    columns, each one flat array that a chunk views in the shape it needs.
 
-    Four float and two boolean buffers of ``_chunk_rows(k)`` levels by
-    ``k + 1`` columns (a plot chunk's transform arguments carry the
-    threshold in one more column), each one flat array that a chunk views
-    in the shape it needs: a C-contiguous row slice, so that a ufunc takes
-    the same loop, and gives the same bits, as on a fresh array.
-    ``profile_levels`` keeps its masked rows and residual in float buffers
-    0 and 1; a ``terms`` function may use those as scratch but returns its
-    rows in buffers 2 and 3, boolean buffers 0 and 1, or outside the
-    workspace.  The thread that runs a fit owns the workspace
-    (``_workspace``) and keeps the last size's buffers between fits:
-    262 KB at k = 100, 2 MB at k = 3999 and about 5 MB after a fit at
-    k = 10 000.  Fits on several threads never share one.
+    A view is a C-contiguous row slice, so that a ufunc takes the same
+    loop, and gives the same bits, as on a fresh array.  The thread that
+    runs a fit owns the workspace (``_workspace``) and keeps the last
+    size's buffers between fits: 262 KB at k = 100, 2 MB at k = 3999 and
+    about 5 MB after a fit at k = 10 000.  Fits on several threads never
+    share one.
     """
 
     def __init__(self, k: int):
@@ -241,115 +236,95 @@ def _masked(a: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def profile_levels(levels, k: int, terms):
-    """Loss, profiled slope and skipped-term count at each level.
+def profile_levels(model, f, fixed, penalty, f_thr=None):
+    """The profile of a fit: a function from a 1-d array of levels to their
+    loss, profiled slope and skipped-term count.
 
     At a fixed level both fit families are a least-squares line through
-    the origin on the retained terms, plus a penalty on the level.
-    ``terms(chunk, work)`` maps a 1-d array of levels to ``(x, y, keep,
-    penalty)``: regressor and response, each ``(rows, k)`` or ``(k,)`` when
-    the same at every level; the ``(rows, k)`` retained-term mask, or None
-    when every term is kept; and the per-level penalty.  ``work`` is the
-    calling thread's ``_Workspace`` for ``k``, and the arrays ``terms``
-    returns may be views into it, valid until its next call.  Neither ``x``
-    nor ``y`` is read when no level of the chunk keeps a term.  A level that
-    keeps no term scores its penalty alone with a NaN slope; a retained
-    regressor of zero norm gets slope 0.  Levels are evaluated in chunks of
-    ``_chunk_rows(k)`` levels: at most ``PROFILE_CHUNK_ELEMENTS`` terms, or
-    sixteen levels when k is too large for that.
+    the origin on the kept terms, plus the penalty ``penalty(levels)``.
+    With a threshold, as in the plot fit, the rows are ``s(1 - f/level) -
+    s(1 - f_thr/level)``, with ``s`` the transform of ``model``: the
+    response, against the regressor ``fixed``.  Without one, as in the
+    exceedance fit, the rows are ``s(1 - f/level)``: the regressor,
+    against the response ``fixed``.  Terms are
+    kept by ``model``'s boundary rule (``_admissible``), and an
+    inadmissible threshold drops every term of its level.  A level that
+    keeps no term scores its penalty alone with a NaN slope; a kept
+    regressor of zero norm gets slope 0.  The transform runs once per
+    distinct value of ``f``, with the threshold as one more column; the
+    curve is constant between event times.
+
+    Levels are evaluated in chunks of ``_chunk_rows(k)`` levels (at most
+    ``PROFILE_CHUNK_ELEMENTS`` terms, or sixteen levels when k is too large
+    for that), in the calling thread's ``_Workspace``.  Its float buffer 2
+    holds a chunk's transform arguments and then, in place, their
+    transform; buffer 3 the rows, differenced from the threshold column or
+    gathered from buffer 2, and with both, buffer 2 takes the gathered rows
+    back.  Buffers 0 and 1 hold the masked regressor and response, and
+    buffer 0 then the residual; until buffer 3 is written, the normal
+    quantile uses buffers 0, 1 and 3 as scratch.  Boolean buffer 0 holds
+    the admissible arguments, and buffer 1 first the inadmissible ones and
+    then the gathered kept terms.
 
     A level's results do not depend on the other levels of the call, bit
-    for bit, provided ``terms`` builds each row from its level alone (in
-    C order); ``_golden_min`` relies on this to evaluate points ahead of
-    time.
+    for bit, since each row is built from its level alone (in C order);
+    ``_golden_min`` relies on this to evaluate points ahead of time.
     """
-    levels = np.asarray(levels, dtype=float)
-    work = _workspace(k)
-    loss = np.empty(levels.size)
-    slope = np.full(levels.size, math.nan)
-    kept = np.full(levels.size, k)
-    for start in range(0, levels.size, work.rows):
-        part = slice(start, start + work.rows)
-        x, y, keep, penalty = terms(levels[part], work)
-        loss[part] = penalty
-        rows = penalty.size
-        if keep is not None:
-            kept[part] = np.count_nonzero(keep, axis=1)
-            if not kept[part].any():
-                continue
-            x = _masked(x, keep, work.floats(0, rows, k))
-            y = _masked(y, keep, work.floats(1, rows, k))
-        sxx = _rowdot(x, x)
-        b = np.divide(_rowdot(x, y), sxx, out=np.zeros(rows), where=sxx != 0.0)
-        # b * x goes over x itself when x is the masked copy in buffer 0
-        r = np.multiply(b[:, None], x, out=work.floats(0, rows, k))
-        np.subtract(y, r, out=r)
-        loss[part] += _rowdot(r, r)
-        slope[part] = b
-    slope[kept == 0] = math.nan
-    return loss, slope, k - kept
-
-
-def _level_terms(model, f, fixed, penalty, f_thr=None):
-    """Rows for ``profile_levels`` from the transform of ``1 - F/level``.
-
-    The rows are ``u(1 - f/level) - u(1 - f_thr/level)`` with ``u = -s``,
-    or ``u(1 - f/level)`` alone when there is no threshold (Pareto and
-    log-normal only).  With a threshold they are the response against the
-    regressor ``fixed``, as in the plot fit, whose log excesses come
-    negated: negating both sides leaves slope and loss unchanged bit for
-    bit, since IEEE arithmetic is symmetric in sign.  Without one they are
-    the regressor against the response ``fixed``, as in the exceedance fit,
-    whose slope is minus the scale.  ``penalty`` maps the levels to their
-    penalties.  Terms are kept by ``model``'s boundary rule, and an
-    inadmissible threshold drops every term of its level.  The transform
-    runs once per distinct curve value, with the threshold as one more
-    column; the curve is constant between event times.
-    """
+    k = f.size
     f_dist, gather = _distinct(f, costly=model is PlottingModel.LOGNORMAL)
     f_cols = f_dist if f_thr is None else np.append(f_dist, f_thr)
     cols, size = f_cols.size, f_dist.size
 
-    def terms(levels, work):
-        rows = levels.size
-        # one buffer of transform arguments, any threshold in the last column
-        args = np.divide(f_cols, levels[:, None], out=work.floats(2, rows, cols))
-        np.subtract(1.0, args, out=args)
-        ok = _admissible(model, args, work.mask(0, rows, cols))
-        keep = ok if f_thr is None else ok[:, :size]
-        if f_thr is not None and not ok[:, size].all():
-            keep &= ok[:, size:]
-        if keep.all():
-            keep = None
-        else:
-            np.copyto(args, 0.5, where=np.logical_not(ok, out=work.mask(1, rows, cols)))
-            if gather is not None:
-                keep = keep.take(gather, axis=1, out=work.mask(1, rows, gather.size),
-                                 mode="clip")
-            if not keep.any():
-                # e.g. Weibull and log-normal at F(threshold) = 0
-                return fixed, None, keep, penalty(levels)
-        # at t_thr == 1 (F(threshold) = 0) only Pareto keeps terms, and log 1 = 0
-        if model is PlottingModel.WEIBULL:
-            # s_thr - s is u - u_thr bit for bit
-            s = _s_values(model, args, out=args)
-            w = np.subtract(s[:, size:], s[:, :size], out=work.floats(3, rows, size))
-        else:
+    def profile(levels):
+        levels = np.asarray(levels, dtype=float)
+        work = _workspace(k)
+        loss = penalty(levels)
+        slope = np.full(levels.size, math.nan)
+        kept = np.full(levels.size, k)
+        for start in range(0, levels.size, work.rows):
+            part = slice(start, start + work.rows)
+            rows = levels[part].size
+            args = np.divide(f_cols, levels[part, None], out=work.floats(2, rows, cols))
+            np.subtract(1.0, args, out=args)
+            ok = _admissible(model, args, work.mask(0, rows, cols))
+            keep = ok[:, :size]
+            if f_thr is not None and not ok[:, size].all():
+                keep &= ok[:, size:]
+            masked = not keep.all()
+            if masked:
+                np.copyto(args, 0.5, where=np.logical_not(ok, out=work.mask(1, rows, cols)))
+                if gather is not None:
+                    keep = keep.take(gather, axis=1, out=work.mask(1, rows, k), mode="clip")
+                kept[part] = np.count_nonzero(keep, axis=1)
+                if not kept[part].any():
+                    # e.g. Weibull and log-normal at F(threshold) = 0
+                    continue
             scratch = None
-            if model is PlottingModel.LOGNORMAL:  # buffer 3 is free until written
+            if model is PlottingModel.LOGNORMAL:
                 scratch = tuple(work.floats(i, rows, cols) for i in (0, 1, 3))
-            w = _minus_s_values(model, args, out=args, scratch=scratch)
+            # at t_thr == 1 (F(threshold) = 0) only Pareto keeps terms, and s = 0
+            w = _s_values(model, args, out=args, scratch=scratch)
             if f_thr is not None:
                 w = np.subtract(w[:, :size], w[:, size:], out=work.floats(3, rows, size))
-        if gather is not None:
-            # take() keeps rows C-contiguous; w[:, gather] would not.  The rows
-            # sit in float buffer 3 with a threshold and in buffer 2 without
-            out = work.floats(2 if f_thr is not None else 3, rows, gather.size)
-            w = w.take(gather, axis=1, out=out, mode="clip")
-        x, y = (w, fixed) if f_thr is None else (fixed, w)
-        return x, y, keep, penalty(levels)
+            if gather is not None:
+                # take() keeps rows C-contiguous; w[:, gather] would not
+                out = work.floats(2 if f_thr is not None else 3, rows, k)
+                w = w.take(gather, axis=1, out=out, mode="clip")
+            x, y = (w, fixed) if f_thr is None else (fixed, w)
+            if masked:
+                x = _masked(x, keep, work.floats(0, rows, k))
+                y = _masked(y, keep, work.floats(1, rows, k))
+            sxx = _rowdot(x, x)
+            b = np.divide(_rowdot(x, y), sxx, out=np.zeros(rows), where=sxx != 0.0)
+            # b * x goes over x itself when x is the masked copy in buffer 0
+            r = np.multiply(b[:, None], x, out=work.floats(0, rows, k))
+            np.subtract(y, r, out=r)
+            loss[part] += _rowdot(r, r)
+            slope[part] = b
+        slope[kept == 0] = math.nan
+        return loss, slope, k - kept
 
-    return terms
+    return profile
 
 
 def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int, xtol: float):
@@ -431,8 +406,9 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     """Dense grid over (lower, upper] followed by golden-section refinement.
 
     ``fun`` maps a 1-d array of arguments to a tuple of arrays of their
-    values, the quantity to minimize first, as ``profile_levels`` does; a
-    point's values must not depend on the other points of its call.
+    values, the quantity to minimize first, as a profile from
+    ``profile_levels`` does; a point's values must not depend on the other
+    points of its call.
     Returns ``(x, values)``: the minimizing argument and the entries of
     that tuple at it, as Python scalars read back from the call that
     evaluated it.  A collapsed interval (``lower >= upper``) evaluates
@@ -531,15 +507,12 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
     x = tail.excesses(log_scale=True)
     if not np.any(x > 0):
         raise DegenerateRegressorError("top k+1 observations coincide; no slope identifiable")
-    # the rows are u - u_thr = s_thr - s, so the regressor goes negated too;
-    # in place, since a copy would stay alive for the whole fit
-    np.negative(x, out=x)
     p_n = tail.p_n
     lam = config.resolved_lam(ordered.n)
-    terms = _level_terms(model, tail.f_top, x, lambda p: lam * (p - p_n) ** 2, tail.f_thr)
     p_hat, (loss, slope, skipped) = minimize_on_interval(
-        lambda p: profile_levels(p, config.k, terms), p_n, 1.0,
-        config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
+        profile_levels(model, tail.f_top, x, lambda p: lam * (p - p_n) ** 2, tail.f_thr),
+        p_n, 1.0, config.p_grid_resolution, config.refine_tolerance,
+        width=_golden_width(config.k),
     )
     return CureFit(p_hat, slope, loss, p_n, config.k, p_n, skipped, boundary=p_n >= 1.0)
 

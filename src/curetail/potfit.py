@@ -32,7 +32,6 @@ from .plotfit import (
     _check_lam,
     _check_level,
     _golden_width,
-    _level_terms,
     minimize_on_interval,
     profile_levels,
 )
@@ -138,16 +137,15 @@ def pot_fit(
         raise DegenerateExceedancesError("no events above the threshold among the top k")
 
     lam = config.resolved_lam(ordered.n)
-    # e against w = log(1 - F/pi), the Pareto u, with slope minus the scale
-    terms = _level_terms(PlottingModel.PARETO, f_k, e,
-                         lambda pi: lam * (1.0 - (1.0 - pi) * tail.p_k - tail.p_n) ** 2)
-    pi_hat, (loss, slope, skipped) = minimize_on_interval(
-        lambda pi: profile_levels(pi, config.k, terms), pi_lower, 1.0,
-        config.p_grid_resolution, config.refine_tolerance, width=_golden_width(config.k),
+    # e against the Pareto rows s = -log(1 - F/pi), with slope the scale
+    pi_hat, (loss, scale, skipped) = minimize_on_interval(
+        profile_levels(PlottingModel.PARETO, f_k, e,
+                       lambda pi: lam * (1.0 - (1.0 - pi) * tail.p_k - tail.p_n) ** 2),
+        pi_lower, 1.0, config.p_grid_resolution, config.refine_tolerance,
+        width=_golden_width(config.k),
     )
     boundary = pi_lower >= 1.0
-    scale = -slope
-    if boundary and slope == 0.0:
+    if boundary and scale == 0.0:
         # the kept log-terms all vanish, and no scale is identified
         scale = math.nan
     elif not boundary and not (math.isfinite(scale) and scale > 0.0):

@@ -170,24 +170,17 @@ def s_transform(model: PlottingModel, t: float) -> float:
     return float(_s_values(model, np.asarray([t], dtype=float))[0])
 
 
-def _s_values(model: PlottingModel, t: np.ndarray, out=None) -> np.ndarray:
+def _s_values(model: PlottingModel, t: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Vectorized transform; callers guarantee t stays inside (0, 1).
 
-    The values go to ``out`` when given, which may be ``t`` itself.
+    Pareto's is -log t, Weibull's the log of Pareto's, and the log-normal
+    upper-tail quantile is Phi^{-1}(1 - t) = -Phi^{-1}(t).  The values go to
+    ``out`` when given, which may be ``t`` itself; ``out`` and ``scratch``
+    are handed on as ``_norm_quantile`` takes them.
     """
-    if model is PlottingModel.WEIBULL:
-        out = np.log(t, out=out)
-        np.negative(out, out=out)
-        return np.log(out, out=out)
-    return np.negative(_minus_s_values(model, t, out), out=out)
-
-
-def _minus_s_values(model: PlottingModel, t: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Minus the Pareto or log-normal transform: log t, or the normal
-    quantile at t (the upper-tail quantile is Phi^{-1}(1 - t) = -Phi^{-1}(t)).
-
-    ``out`` and ``scratch`` are handed on as ``_norm_quantile`` takes them.
-    """
-    if model is PlottingModel.PARETO:
-        return np.log(t, out=out)
-    return _norm_quantile(np.asarray(t, dtype=float), out, scratch)
+    if model is PlottingModel.LOGNORMAL:
+        s = _norm_quantile(np.asarray(t, dtype=float), out, scratch)
+    else:
+        s = np.log(t, out=out)
+    np.negative(s, out=s)
+    return np.log(s, out=s) if model is PlottingModel.WEIBULL else s

@@ -41,7 +41,7 @@ from curetail.plotfit import (
     _chunk_rows,
     _distinct,
     _golden_min,
-    _level_terms,
+    _rowdot,
     _workspace,
     minimize_on_interval,
     profile_levels,
@@ -113,15 +113,15 @@ class PlotCase:
         self.tail = tail = top_tail(ordered, curve, k)
         self.f_top, self.f_thr, self.p_n = tail.f_top, tail.f_thr, tail.p_n
         self.lower, self.curve_values = self.p_n, self.f_top
-        self.terms = self.make_terms()
+        self.profile = self.make_profile()
 
-    def make_terms(self):
-        # as pp_fit builds them: the negated log excesses are the regressor
-        return _level_terms(self.model, self.f_top, -self.tail.excesses(log_scale=True),
-                            self.penalty, self.f_thr)
+    def make_profile(self):
+        # as pp_fit builds it: the log excesses are the regressor
+        return profile_levels(self.model, self.f_top, self.tail.excesses(log_scale=True),
+                              self.penalty, self.f_thr)
 
     def run(self, levels):
-        return profile_levels(np.asarray(levels, dtype=float), self.k, self.terms)
+        return self.profile(levels)
 
     def scalar_loss(self, slope, p):
         return pp_loss(self.model, self.ordered, self.curve, self.k, slope, p, self.lam, self.p_n)
@@ -143,13 +143,13 @@ class PotCase:
         events = self.exc_curve.jump_times.size > 0
         self.pi_lower = float(self.exc_curve.cdf_values[-1]) if events else 1.0
         self.lower, self.curve_values = self.pi_lower, self.f_k
-        self.terms = self.make_terms()
+        self.profile = self.make_profile()
 
-    def make_terms(self):
-        return _level_terms(PlottingModel.PARETO, self.f_k, self.e, self.penalty)
+    def make_profile(self):
+        return profile_levels(PlottingModel.PARETO, self.f_k, self.e, self.penalty)
 
     def run(self, levels):
-        return profile_levels(np.asarray(levels, dtype=float), self.k, self.terms)
+        return self.profile(levels)
 
     def penalty(self, pi):
         return self.lam * (1.0 - (1.0 - pi) * self.p_k - self.p_n) ** 2
@@ -202,7 +202,7 @@ def test_pot_kernel_matches_pot_loss(domain, k):
         pi = float(levels[i])
         arg = 1.0 - case.f_k / pi
         assert skipped[i] == k - np.count_nonzero(arg > BOUNDARY_EPS)
-        scale = -float(slope[i])
+        scale = float(slope[i])
         assert scale > 0.0
         expected = pot_loss(case.exc_curve, case.e, scale, pi, case.lam, case.p_n, case.p_k)
         assert_allclose(loss[i], expected, rtol=RTOL)
@@ -245,19 +245,22 @@ def test_inadmissible_threshold_row():
 @pytest.mark.parametrize("repeated", [False, True])
 @pytest.mark.parametrize("model, f_thr", [(m, f_thr) for m in PLOT_TAILS for f_thr in (0.15, 0.0)]
                          + [(PlottingModel.PARETO, None)])
-def test_level_terms_rows_follow_the_definition(model, f_thr, repeated):
-    # on the kept terms the rows are u(1 - F/p) - u(1 - F_thr/p) with
-    # u = -s, or u(1 - F/p) without a threshold, bit for bit; the mask is
-    # plot_kept's.  A curve with repeated values takes the gather path.  At
-    # F_thr = 0 the threshold's argument is 1, which drops every term but
-    # Pareto's; above it, a level drops what its own terms' arguments drop.
+def test_profile_follows_the_row_definition(model, f_thr, repeated):
+    # on the kept terms, plot_kept's mask, the rows are s(1 - F/p) - s(1 - F_thr/p),
+    # the response against the regressor ``fixed``, or s(1 - F/p) alone
+    # without a threshold, the regressor against the response ``fixed``;
+    # dropped terms are 0 in both.  Loss and slope are the line through the
+    # origin on those rows, summed by _rowdot, bit for bit.  A curve with
+    # repeated values takes the gather path.  At F_thr = 0 the threshold's
+    # argument is 1, which drops every term but Pareto's; above it, a level
+    # drops what its own terms' arguments drop.
     rng = np.random.default_rng(12)
     if repeated:
         f = np.repeat(np.sort(rng.uniform(0.2, 0.75, 4)), [3, 2, 4, 3])
     else:
         f = np.sort(rng.uniform(0.2, 0.75, 12))
     fixed = rng.standard_normal(f.size)
-    terms = _level_terms(model, f, fixed, lambda p: 2.0 * p, f_thr)
+    profile = profile_levels(model, f, fixed, lambda p: 2.0 * p, f_thr)
     dist = np.unique(f)
     groups = {"all": [0.8, 0.9, 1.0], "some": [dist[2], (dist[0] + dist[1]) / 2],
               "none": [dist[0], *([f_thr] if f_thr else [])]}
@@ -269,21 +272,24 @@ def test_level_terms_rows_follow_the_definition(model, f_thr, repeated):
         want_keep = np.array([plot_kept(model, f, f_thr, p) for p in levels])
         low, high = kept_range.get(name, (0, f.size))
         assert np.all((low <= want_keep.sum(axis=1)) & (want_keep.sum(axis=1) <= high))
-        x, y, keep, penalty = terms(levels, _workspace(f.size))
-        assert_same_bits(penalty, 2.0 * levels)
-        assert (keep is None) == want_keep.all()
-        assert_array_equal(want_keep if keep is None else keep, want_keep)
-        if not want_keep.any():
-            continue  # no row is built or read
-        rows, regressor_or_response = (x, y) if f_thr is None else (y, x)
-        assert regressor_or_response is fixed
-        for row, kept, p in zip(rows, want_keep, levels.tolist()):
+        loss, slope, skipped = profile(levels)
+        assert_array_equal(skipped, f.size - want_keep.sum(axis=1))
+        want_loss, want_slope = 2.0 * levels, np.full(levels.size, math.nan)
+        for i, (kept, p) in enumerate(zip(want_keep, levels.tolist())):
             if not kept.any():
                 continue  # the threshold's argument may sit on the boundary
-            want = -_s_values(model, 1.0 - f[kept] / p)
+            rows = np.zeros(f.size)
+            rows[kept] = _s_values(model, 1.0 - f[kept] / p)
             if f_thr is not None:
-                want = want - -_s_values(model, np.array([1.0 - f_thr / p]))
-            assert_same_bits(row[kept], want)
+                rows[kept] -= _s_values(model, np.array([1.0 - f_thr / p]))
+            kept_fixed = np.where(kept, fixed, 0.0)
+            x, y = (rows, kept_fixed) if f_thr is None else (kept_fixed, rows)
+            sxx = _rowdot(x, x)
+            want_slope[i] = _rowdot(x, y) / sxx if sxx != 0.0 else 0.0
+            r = y - want_slope[i] * x
+            want_loss[i] += _rowdot(r, r)
+        assert_same_bits(loss, want_loss)
+        assert_same_bits(slope, want_slope)
 
 
 def test_threshold_below_first_event():
@@ -333,7 +339,7 @@ def fit_case(case):
         fit = pp_fit(case.ordered, case.curve, FitConfig(k=case.k, model=case.model))
         return fit, fit.p_hat, fit.slope_hat
     fit = pot_fit(case.ordered, case.curve, case.domain, FitConfig(k=case.k))
-    return fit, fit.pi_hat, -fit.scale_hat
+    return fit, fit.pi_hat, fit.scale_hat
 
 
 @pytest.mark.parametrize("n, k", [(200, 40), (200, 199)])
@@ -406,21 +412,27 @@ def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, widest):
 
         def fit():
             return pot_fit(case.ordered, case.curve, model, FitConfig(k=k))
-    kernel = plotfit.profile_levels
+    kernel, admissible = plotfit.profile_levels, plotfit._admissible
     sizes, chunks = [], []
 
-    def recording(levels, k, terms, *args):
-        sizes.append(len(levels))
-        chunks.append(0)
+    def recording(*args):
+        profile = kernel(*args)
 
-        def counting(*a):
-            chunks[-1] += 1
-            return terms(*a)
+        def recorded(levels):
+            sizes.append(len(levels))
+            chunks.append(0)
+            return profile(levels)
 
-        return kernel(levels, k, counting, *args)
+        return recorded
+
+    def counting(*args):
+        # the kernel applies the boundary rule once per chunk
+        chunks[-1] += 1
+        return admissible(*args)
 
     monkeypatch.setattr(plotfit, "profile_levels", recording)
     monkeypatch.setattr(potfit, "profile_levels", recording)
+    monkeypatch.setattr(plotfit, "_admissible", counting)
     default = plotfit.PROFILE_CHUNK_ELEMENTS
     results = set()
     for elements in (k, 4096, default, 65536):
@@ -521,15 +533,15 @@ def test_reused_workspace_matches_a_fresh_one(model, k):
     # a partial chunk, and calls of other sizes view the same buffers in
     # other shapes
     case = benchmark_shaped_case(model, k, seed=7000 + k)
-    terms, work = case.make_terms(), _workspace(k)
+    work = _workspace(k)
     mid = float(np.median(case.curve_values[case.curve_values > 0]))
     grid = case.lower + (1.0 - case.lower) * np.arange(1, 514) / 513
     calls = [grid, np.array([mid]), np.array([0.5 * mid, np.nextafter(case.lower, 1.0), 1.0]),
              grid]
     skipped = []
     for levels in calls:
-        got = profile_levels(levels, k, terms)
-        want = on_fresh_thread(profile_levels, levels, k, case.make_terms())
+        got = case.profile(levels)
+        want = on_fresh_thread(case.make_profile(), levels)
         for g, w in zip(got, want):
             assert_same_bits(g, w)
         skipped.append(got[2])
@@ -561,10 +573,9 @@ def test_grid_call_allocates_no_chunk_at_large_k(model, make_case):
     # A warm call first gives this thread its workspace for k.
     k = 3999
     case = make_case(model, k, seed=8000)
-    terms = case.make_terms()
     grid = np.arange(1, 514) / 513
-    profile_levels(grid, k, terms)
-    assert peak_bytes(profile_levels, grid, k, terms) < _chunk_rows(k) * k * 8
+    case.profile(grid)
+    assert peak_bytes(case.profile, grid) < _chunk_rows(k) * k * 8
 
 
 @pytest.mark.parametrize("n, k", [(500, 100), (4000, 3999)])
