@@ -81,7 +81,11 @@ def sigma2_k(tail: CensoringTail) -> float:
     prefix_end = 0.0
     for start in range(0, k, _BLOCK):
         j = np.arange(start + 1, min(start + _BLOCK, k) + 1, dtype=float)
-        a = 1.0 - np.power(j / (k + 1), -g)
+        # 1 - (j/(k+1))^(-g) by expm1, which keeps the digits that the
+        # difference cancels as g -> 0; a g far below zero makes the product
+        # -inf, where expm1 gives the limit a = 1
+        with np.errstate(over="ignore"):
+            a = -np.expm1(-g * np.log(j / (k + 1)))
         # the carry enters as the first addend, so the prefix sums keep the
         # left-to-right order of one cumulative sum over all k terms
         prefix = np.cumsum(np.concatenate(([prefix_end], a)))[1:]

@@ -70,6 +70,16 @@ class TestHGamma:
             h_gamma(-1.0, math.inf)
 
 
+def mp_sigma2(mpmath, gamma_c, k):
+    """The variance constant's double sum at 40 digits."""
+    with mpmath.workdps(40):
+        gm = mpmath.mpf(gamma_c)
+        a = [1 - mpmath.mpf(j) ** -gm / (k + 1) ** -gm for j in range(1, k + 1)]
+        h = [mpmath.expm1((1 + gm) * mpmath.log(mpmath.mpf(k + 1) / j)) / (1 + gm)
+             for j in range(1, k + 1)]
+        return float(sum(a[i] * a[j] * h[max(i, j)] for i in range(k) for j in range(k)) / k**2)
+
+
 class TestSigma2:
     def test_k1_closed_form(self):
         # single term: a^2 * log 2 with a = 1/2
@@ -92,14 +102,22 @@ class TestSigma2:
         mpmath = pytest.importorskip("mpmath")
         k = 20
         for g in (-1.0 + 2e-12, -1.0 + 1e-10, -1.0 - 1e-10):
-            with mpmath.workdps(40):
-                gm = mpmath.mpf(g)
-                a = [1 - mpmath.mpf(j) ** -gm / (k + 1) ** -gm for j in range(1, k + 1)]
-                h = [mpmath.expm1((1 + gm) * mpmath.log(mpmath.mpf(k + 1) / j)) / (1 + gm)
-                     for j in range(1, k + 1)]
-                want = float(sum(a[i] * a[j] * h[max(i, j)]
-                                 for i in range(k) for j in range(k)) / k**2)
-            assert_allclose(sigma2_k(CensoringTail(g, k, k + 1)), want, rtol=1e-14)
+            assert_allclose(sigma2_k(CensoringTail(g, k, k + 1)), mp_sigma2(mpmath, g, k),
+                            rtol=1e-14)
+
+    @pytest.mark.parametrize("k", [10, 100])
+    @pytest.mark.parametrize("g", [-1e-8, -1e-5, -1e-3])
+    def test_accurate_as_index_approaches_zero(self, g, k):
+        # a(j) = 1 - (j/(k+1))^(-g) cancels as g -> 0 unless taken by expm1
+        mpmath = pytest.importorskip("mpmath")
+        assert_allclose(sigma2_k(CensoringTail(g, k, k + 1)), mp_sigma2(mpmath, g, k),
+                        rtol=1e-14)
+
+    def test_index_far_below_zero(self):
+        # a(j) reaches its limit 1 and h its limit -1 / (1 + gamma_c) through
+        # overflowing products, which must raise no warning
+        for g in (-1e308, -1e300):
+            assert sigma2_k(CensoringTail(g, 6, 7)) == -1.0 / (1.0 + g)
 
     def test_positive(self):
         for g in (-0.1, -1.0, -4.0):
@@ -134,7 +152,7 @@ def one_pass(gamma_c, k):
     own ``_h_values``: every summand and both sums in the blocked pass's
     order, so the two agree bit for bit."""
     j = np.arange(1, k + 1, dtype=float)
-    a = 1.0 - np.power(j / (k + 1), -gamma_c)
+    a = -np.expm1(-gamma_c * np.log(j / (k + 1)))
     prefix = np.cumsum(a)
     h = asymptotics._h_values(gamma_c, (k + 1) / j)
     return float(np.sum(a * (2.0 * (prefix - a) + a) * h)) / k**2
