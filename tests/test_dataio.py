@@ -25,7 +25,7 @@ from curetail import (
     stress_sweep,
     write_dataset,
 )
-from curetail import cli
+from curetail import cli, plotfit, potfit
 from curetail.cli import MAX_SIZE, main
 from curetail.dataio import MAX_STRESS_FRACTION, format_sig
 from curetail.estimators import MODEL_NAMES
@@ -495,6 +495,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_tolerance_as_wide_as_the_interval_stops_refinement(self, demo_csv, capsys,
+                                                                 monkeypatch, model):
+        # with --tol 1 a fit makes its grid call (512 levels and the notch)
+        # and then, in each basin it refines (at most three), the one call
+        # of the first inner pair, after which the bracket is already narrow
+        sizes = []
+
+        def recording(*args, _kernel=plotfit.profile_levels):
+            profile = _kernel(*args)
+
+            def recorded(levels):
+                sizes.append(len(levels))
+                return profile(levels)
+
+            return recorded
+
+        monkeypatch.setattr(plotfit, "profile_levels", recording)
+        monkeypatch.setattr(potfit, "profile_levels", recording)
+        payload = self.fit_json(capsys, ["fit", "--input", demo_csv, "--model", model,
+                                         "--k", "0.3", "--tol", "1"])
+        assert payload["model"] == model
+        assert sizes[0] == 513
+        assert 1 <= len(sizes) - 1 <= 3 and set(sizes[1:]) == {2}
 
     def test_fractional_k_rounds_down(self, demo_csv, capsys):
         # 0.333 * 400 = 133.2 is no float-dust integer, so the floor applies
