@@ -502,10 +502,10 @@ class TestCli:
         # with --tol 1 a fit makes its grid call (512 levels and the notch)
         # and then, in each basin it refines (at most three), the one call
         # of the first inner pair, after which the bracket is already narrow
-        sizes = []
+        kernel, sizes = plotfit.profile_levels, []
 
-        def recording(*args, _kernel=plotfit.profile_levels):
-            profile = _kernel(*args)
+        def recording(*args):
+            profile = kernel(*args)
 
             def recorded(levels):
                 sizes.append(len(levels))

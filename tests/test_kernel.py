@@ -113,12 +113,9 @@ class PlotCase:
         self.tail = tail = top_tail(ordered, curve, k)
         self.f_top, self.f_thr, self.p_n = tail.f_top, tail.f_thr, tail.p_n
         self.lower, self.curve_values = self.p_n, self.f_top
-        self.profile = self.make_profile()
-
-    def make_profile(self):
         # as pp_fit builds it: the log excesses are the regressor
-        return profile_levels(self.model, self.f_top, self.tail.excesses(log_scale=True),
-                              self.penalty, self.f_thr)
+        self.profile = profile_levels(model, self.f_top, tail.excesses(log_scale=True),
+                                      self.penalty, self.f_thr)
 
     def run(self, levels):
         return self.profile(levels)
@@ -143,10 +140,7 @@ class PotCase:
         events = self.exc_curve.jump_times.size > 0
         self.pi_lower = float(self.exc_curve.cdf_values[-1]) if events else 1.0
         self.lower, self.curve_values = self.pi_lower, self.f_k
-        self.profile = self.make_profile()
-
-    def make_profile(self):
-        return profile_levels(PlottingModel.PARETO, self.f_k, self.e, self.penalty)
+        self.profile = profile_levels(PlottingModel.PARETO, self.f_k, self.e, self.penalty)
 
     def run(self, levels):
         return self.profile(levels)
@@ -245,7 +239,7 @@ def test_inadmissible_threshold_row():
 @pytest.mark.parametrize("repeated", [False, True])
 @pytest.mark.parametrize("model, f_thr", [(m, f_thr) for m in PLOT_TAILS for f_thr in (0.15, 0.0)]
                          + [(PlottingModel.PARETO, None)])
-def test_profile_follows_the_row_definition(model, f_thr, repeated):
+def test_level_terms_rows_follow_the_definition(model, f_thr, repeated):
     # on the kept terms, plot_kept's mask, the rows are s(1 - F/p) - s(1 - F_thr/p),
     # the response against the regressor ``fixed``, or s(1 - F/p) alone
     # without a threshold, the regressor against the response ``fixed``;
@@ -541,7 +535,7 @@ def test_reused_workspace_matches_a_fresh_one(model, k):
     skipped = []
     for levels in calls:
         got = case.profile(levels)
-        want = on_fresh_thread(case.make_profile(), levels)
+        want = on_fresh_thread(case.profile, levels)
         for g, w in zip(got, want):
             assert_same_bits(g, w)
         skipped.append(got[2])
