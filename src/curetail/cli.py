@@ -8,9 +8,10 @@ sweep, CSV) and ``diag`` (variance constant of the benchmark, JSON).
 Exit codes: 0 on success, 2 for invalid inputs, 3 when the data defeats
 the requested computation, 1 when stdout is closed before the output is
 written.  ``diag --k``, ``simulate --n`` and ``--grid`` size arrays of
-that length, so all are capped at ``MAX_SIZE`` (10**7); a larger value is
-an invalid input.  JSON goes to stdout at full float precision; CSV
-tables carry 9 significant digits.
+that length, and ``simulate --reps`` the replication rows, so all are
+capped at ``MAX_SIZE`` (10**7); a larger value is an invalid input.  JSON
+goes to stdout at full float precision; CSV tables carry 9 significant
+digits.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .plotfit import FitConfig
 from .simulate import SCENARIO_IDS, run_scenario, scenario_spec
 from .survival import km_fit, order_sample, snap_floor
 
-# Largest diag --k, simulate --n and --grid accepted.
+# Largest diag --k, simulate --n, simulate --reps and --grid accepted.
 MAX_SIZE = 10**7
 
 
@@ -142,18 +143,19 @@ def _cmd_gof(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _check_size("--n", args.n)
+    _check_size("--reps", args.reps)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     spec = scenario_spec(args.scenario, args.n, args.reps, args.p, args.seed)
     summaries = run_scenario(spec, estimators)
-    k = spec.resolve_k()
+    config = spec.fit_config()
     payload = {
         "scenario": spec.scenario_id,
         "n": spec.n,
         "reps": spec.reps,
         "p": spec.p,
         "seed": spec.seed,
-        "k": k,
-        "lambda": spec.resolve_lam(k),
+        "k": config.k,
+        "lambda": config.resolved_lam(spec.n),
         "estimators": [
             {
                 "label": s.label,
@@ -233,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", type=int, required=True, choices=list(SCENARIO_IDS))
     sim.add_argument("--n", type=int, required=True,
                      help=f"sample size per replication (at most {MAX_SIZE})")
-    sim.add_argument("--reps", type=int, required=True)
+    sim.add_argument("--reps", type=int, required=True,
+                     help=f"replications (at most {MAX_SIZE})")
     sim.add_argument("--p", type=float, required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--estimators", default="gumbel-pot,pn",

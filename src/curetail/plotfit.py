@@ -65,7 +65,9 @@ PROFILE_CHUNK_ELEMENTS = 8192
 class FitConfig:
     """Knobs shared by the plot-based and exceedance-based fits.
 
-    ``lam`` is the penalty weight; None resolves to k/n at fit time.
+    ``model`` is the ``PlottingModel`` of a plot fit and None for the
+    exceedance fits.  ``lam`` is the penalty weight; None resolves to k/n
+    at fit time.
     ``p_grid_resolution`` points are placed on the feasible interval before
     golden-section refinement shrinks the best bracket below
     ``refine_tolerance``.
@@ -79,6 +81,8 @@ class FitConfig:
 
     def __post_init__(self):
         check_int(self.k, "k must be an integer >= 2", 2, error=InvalidKError)
+        if self.model is not None:
+            _check_model(self.model)
         if self.lam is not None:
             _check_lam(self.lam)
         check_int(self.p_grid_resolution, "p_grid_resolution must be an integer >= 10", 10)
@@ -123,6 +127,11 @@ class PlotSeries:
 
 def _check_lam(lam) -> None:
     check_real(lam, "lam must be a finite non-negative real", lambda v: v >= 0)
+
+
+def _check_model(model) -> None:
+    if not isinstance(model, PlottingModel):
+        raise ValidationError(f"model must be a PlottingModel, got {model!r}")
 
 
 def _check_level(value, label: str, error, lower: float = 0.0) -> None:
@@ -474,6 +483,7 @@ def pp_loss(model, ordered, curve, k, slope, p, lam, p_n=None):
     are dropped; an inadmissible threshold transform drops every term,
     leaving only the penalty.
     """
+    _check_model(model)
     tail = top_tail(ordered, curve, k)
     x = tail.excesses(log_scale=True)
     p_n = tail.p_n if p_n is None else p_n
@@ -524,6 +534,7 @@ def gof_series(model, ordered, curve, k, p_hat) -> PlotSeries:
     counted.  ``p_hat`` may sit anywhere in (0, 1]; diagnostic use does not
     require feasibility beyond that.
     """
+    _check_model(model)
     tail = top_tail(ordered, curve, k)
     tail.excesses(log_scale=True)  # refuses a non-positive threshold, as the fits do
     _check_level(p_hat, "p", InfeasiblePError)

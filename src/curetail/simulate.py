@@ -11,6 +11,7 @@ regenerated in isolation.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -128,10 +129,10 @@ SCENARIO_IDS = tuple(sorted(_CATALOGUE))
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Sampling mechanism plus the tail-size and penalty rules for fits.
+    """Sampling mechanism plus the tail size and penalty of its fits.
 
-    ``k_rule`` is "n-1", "n/5" or an explicit integer; ``lam_rule`` is
-    "k/n" or an explicit non-negative real.
+    ``k_rule`` is "n-1", "n/5" or an explicit integer in [2, n-1]; ``lam``
+    is the penalty weight as in ``FitConfig``, None for k/n.
     """
 
     scenario_id: int | str
@@ -142,31 +143,26 @@ class ScenarioSpec:
     reps: int
     seed: int
     k_rule: int | str = "n/5"
-    lam_rule: float | str = "k/n"
+    lam: float | None = None
 
     def __post_init__(self):
         check_real(self.p, "p must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
         check_int(self.n, "n must be an integer >= 10", 10)
         check_int(self.reps, "reps must be a positive integer", 1)
         check_int(self.seed, "seed must be a non-negative integer", 0)
-        self.resolve_k()
-        if self.lam_rule != "k/n":
-            check_real(self.lam_rule, "lam_rule must be 'k/n' or a finite non-negative real",
-                       lambda v: v >= 0)
+        self.fit_config()
 
-    def resolve_k(self) -> int:
+    def fit_config(self) -> FitConfig:
+        """The ``FitConfig`` of every fit in the run."""
         if self.k_rule == "n-1":
-            return self.n - 1
-        if self.k_rule == "n/5":
-            return self.n // 5
-        check_int(self.k_rule, "k_rule must be 'n-1', 'n/5' or an integer in [2, n-1]",
-                  2, self.n - 1)
-        return int(self.k_rule)
-
-    def resolve_lam(self, k: int) -> float:
-        if self.lam_rule == "k/n":
-            return k / self.n
-        return float(self.lam_rule)
+            k = self.n - 1
+        elif self.k_rule == "n/5":
+            k = self.n // 5
+        else:
+            check_int(self.k_rule, "k_rule must be 'n-1', 'n/5' or an integer in [2, n-1]",
+                      2, self.n - 1)
+            k = int(self.k_rule)
+        return FitConfig(k=k, lam=self.lam)
 
 
 def scenario_spec(scenario_id: int, n: int, reps: int, p: float, seed: int) -> ScenarioSpec:
@@ -188,6 +184,7 @@ def scenario_spec(scenario_id: int, n: int, reps: int, p: float, seed: int) -> S
 
 def sample_scenario(spec: ScenarioSpec, rep_index: int) -> SurvivalSample:
     """Draw one replication from its dedicated generator stream."""
+    check_int(rep_index, "rep_index must be a non-negative integer", 0)
     rng = np.random.default_rng([int(spec.seed), int(rep_index)])
     u_mix = rng.random(spec.n)
     u_life = rng.random(spec.n)
@@ -219,12 +216,10 @@ class ReplicationSummary:
     summary: dict = field(compare=False)
 
 
-def _fit_one(spec: ScenarioSpec, names: tuple, rep_index: int) -> dict:
+def _fit_one(spec: ScenarioSpec, names: tuple, config: FitConfig, rep_index: int) -> dict:
     sample = sample_scenario(spec, rep_index)
     ordered = order_sample(sample)
     curve = km_fit(ordered)
-    k = spec.resolve_k()
-    config = FitConfig(k=k, lam=spec.resolve_lam(k))
     out = {}
     for name in names:
         try:
@@ -271,16 +266,16 @@ def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSumm
         workers = min(int(raw), spec.reps, cpus or 1)
     except ValueError:
         raise ValidationError(f"CURETAIL_THREADS must be an integer, got {raw!r}") from None
-    reps = range(spec.reps)
+    fit_rep = functools.partial(_fit_one, spec, names, spec.fit_config())
     if workers > 1:
         # imported here: it adds about 15 ms to every import of the package
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_fit_one, [spec] * spec.reps, [names] * spec.reps, reps,
+            rows = list(pool.map(fit_rep, range(spec.reps),
                                  chunksize=max(1, spec.reps // (4 * workers))))
     else:
-        rows = [_fit_one(spec, names, r) for r in reps]
+        rows = list(map(fit_rep, range(spec.reps)))
 
     summaries = []
     for name in names:

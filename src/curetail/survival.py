@@ -143,6 +143,8 @@ class KaplanMeierCurve:
         if not (jt.shape == cv.shape == nr.shape) or jt.ndim != 1:
             raise ValidationError("curve arrays must be 1-d and of equal length")
         if jt.size:
+            if not (np.all(np.isfinite(jt)) and np.all(np.isfinite(cv))):
+                raise ValidationError("jump times and cdf values must be finite")
             if np.any(np.diff(jt) <= 0):
                 raise ValidationError("jump times must be strictly increasing")
             if np.any(cv < 0) or np.any(cv > 1) or np.any(np.diff(cv) < 0):

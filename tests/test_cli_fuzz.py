@@ -43,7 +43,7 @@ STRESS_FLAGS = {"fractions": either(pick("0,0.1", "0", "0.2,0.05"),
 SIMULATE_FLAGS = {
     "scenario": either(st.integers(1, 10).map(str), "0", "99", "x"),
     "n": either(st.integers(20, 60).map(str), "-1", "0", "1", "10", OVER_CAP),
-    "reps": either(pick("1", "2"), "-1", "0"),
+    "reps": either(pick("1", "2"), "-1", "0", OVER_CAP),
     "p": either(pick("0.5", "0.8"), "-0.5", "0", "1", "1.5", "nan"),
     "seed": either(st.integers(0, 100).map(str), "-1", str(2**70)),
     "estimators": either(pick("pn", "gumbel-pot,pn", "pareto,lognormal,weibull"),

@@ -470,6 +470,8 @@ class TestCli:
         ["diag", "--gamma-c", "-0.5", "--k", str(MAX_SIZE + 1)],
         ["simulate", "--scenario", "2", "--n", str(MAX_SIZE + 1), "--reps", "1", "--p", "0.8",
          "--estimators", "pn", "--rep-csv", "-"],
+        ["simulate", "--scenario", "2", "--reps", str(MAX_SIZE + 1), "--n", "20", "--p", "0.8",
+         "--estimators", "pn", "--rep-csv", "-"],
     ])
     def test_size_cap_exit_code(self, argv, capsys, monkeypatch):
         # the cap must fire before anything of that size is built

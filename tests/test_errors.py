@@ -38,6 +38,7 @@ from curetail import (
     pot_loss,
     pp_loss,
     s_transform,
+    sample_scenario,
     stress_sweep,
 )
 from curetail.errors import check_int, check_real
@@ -93,7 +94,9 @@ SITES = [
     ("ScenarioSpec.reps", lambda v: spec(reps=v), "int", [3], ValidationError),
     ("ScenarioSpec.seed", lambda v: spec(seed=v), "int", [7], ValidationError),
     ("ScenarioSpec.k_rule", lambda v: spec(k_rule=v), "int", [17], ValidationError),
-    ("ScenarioSpec.lam_rule", lambda v: spec(lam_rule=v), "real", [0.25, 1], ValidationError),
+    ("ScenarioSpec.lam_rule", lambda v: spec(lam=v), "real", [0.25, 1], ValidationError),
+    ("simulate.sample_scenario rep_index", lambda v: sample_scenario(spec(), v), "int", [3],
+     ValidationError),
     ("CensoringTail.gamma_c", lambda v: CensoringTail(v, 3, 10), "real", [-0.5, -1],
      ValidationError),
     ("CensoringTail.k", lambda v: CensoringTail(-1.0, v, 10), "int", [3], ValidationError),
@@ -157,10 +160,10 @@ def test_numpy_numbers_accepted(site, call, kind, goods, error):
 
 
 def test_lam_rule_checked_at_construction():
-    with pytest.raises(ValidationError, match="lam_rule"):
-        spec(lam_rule=math.inf)
-    with pytest.raises(ValidationError, match="lam_rule"):
-        spec(lam_rule="k/m")
+    # None is the k/n rule, as in FitConfig; no string spells it
+    for bad in (math.inf, "k/m", "k/n"):
+        with pytest.raises(ValidationError, match="lam must be a finite non-negative real"):
+            spec(lam=bad)
 
 
 def test_refine_tolerance_of_wrong_type():

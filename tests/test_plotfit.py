@@ -11,6 +11,7 @@ from curetail import (
     InvalidKError,
     NonPositiveThresholdError,
     PlottingModel,
+    PotDomain,
     SurvivalSample,
     ValidationError,
     fit_estimate,
@@ -252,6 +253,20 @@ class TestPpFit:
         o, c = prepared(np.random.default_rng(1))
         with pytest.raises(ValidationError):
             pp_fit(o, c, FitConfig(k=10))
+
+    @pytest.mark.parametrize("model", ["lognormal", PotDomain.GUMBEL])
+    @pytest.mark.parametrize("entry", ["FitConfig", "pp_loss", "gof_series"])
+    def test_model_must_be_a_plotting_model(self, entry, model):
+        # a model name is not the model: "lognormal" would run Pareto's transform
+        o, c = prepared(np.random.default_rng(1))
+        call = {
+            "FitConfig": lambda: FitConfig(k=10, model=model),
+            "pp_loss": lambda: pp_loss(model, o, c, 10, 1.5, 0.95, 0.0),
+            "gof_series": lambda: gof_series(model, o, c, 10, 0.95),
+        }[entry]
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"model must be a PlottingModel, got {model!r}"
 
     def test_estimator_needs_config(self):
         o, c = prepared(np.random.default_rng(1))

@@ -114,6 +114,13 @@ class TestSampleScenario:
         assert abs(frac - 0.7) <= 3 * np.sqrt(0.7 * 0.3 / 100_000)
         assert np.all(np.isfinite(s.times))
 
+    @pytest.mark.parametrize("rep_index", [1.7, True, -1])
+    def test_rep_index_is_a_non_negative_integer(self, rep_index):
+        spec = scenario_spec(2, 20, 1, 0.8, 0)
+        with pytest.raises(ValidationError) as info:
+            sample_scenario(spec, rep_index)
+        assert str(info.value) == f"rep_index must be a non-negative integer, got {rep_index!r}"
+
     def test_event_times_finite_and_positive(self):
         for sid in SCENARIO_IDS:
             s = sample_scenario(scenario_spec(sid, 200, 1, 0.75, seed=3), 0)
@@ -128,18 +135,18 @@ class TestScenarioSpec:
         assert isinstance(s1.susceptible, Exponential)
         assert isinstance(s1.censoring, ShiftedExpCensoring)
         assert s1.censoring.rate == 0.05 and s1.censoring.shift == 1.0
-        assert s1.resolve_k() == 99
+        assert s1.fit_config().k == 99
 
         s3 = scenario_spec(3, 100, 1, 0.5, 0)
         assert isinstance(s3.susceptible, StdLogNormal)
         assert s3.censoring.upper == 6.0
-        assert s3.resolve_k() == 20
+        assert s3.fit_config().k == 20
 
         s8 = scenario_spec(8, 100, 1, 0.5, 0)
         assert isinstance(s8.susceptible, ParetoLifetime)
         assert s8.susceptible.gamma == 0.5
         assert s8.censoring.lower == 1.0 and s8.censoring.upper == 5.0
-        assert s8.resolve_k() == 99
+        assert s8.fit_config().k == 99
 
         s10 = scenario_spec(10, 100, 1, 0.5, 0)
         assert isinstance(s10.susceptible, BurrLifetime)
@@ -161,9 +168,9 @@ class TestScenarioSpec:
             reps=1,
             seed=0,
         )
-        assert ScenarioSpec(**base, k_rule="n-1").resolve_k() == 49
-        assert ScenarioSpec(**base, k_rule="n/5").resolve_k() == 10
-        assert ScenarioSpec(**base, k_rule=17).resolve_k() == 17
+        assert ScenarioSpec(**base, k_rule="n-1").fit_config().k == 49
+        assert ScenarioSpec(**base, k_rule="n/5").fit_config().k == 10
+        assert ScenarioSpec(**base, k_rule=17).fit_config().k == 17
         with pytest.raises(ValidationError):
             ScenarioSpec(**base, k_rule="half")
         with pytest.raises(ValidationError):
@@ -173,7 +180,7 @@ class TestScenarioSpec:
 
     def test_lam_rules(self):
         spec = scenario_spec(2, 100, 1, 0.5, 0)
-        assert spec.resolve_lam(99) == 0.99
+        assert spec.fit_config().resolved_lam(spec.n) == 0.99
         spec2 = ScenarioSpec(
             scenario_id="x",
             susceptible=Exponential(),
@@ -182,9 +189,9 @@ class TestScenarioSpec:
             n=50,
             reps=1,
             seed=0,
-            lam_rule=0.25,
+            lam=0.25,
         )
-        assert spec2.resolve_lam(10) == 0.25
+        assert spec2.fit_config().resolved_lam(spec2.n) == 0.25
         with pytest.raises(ValidationError):
             ScenarioSpec(
                 scenario_id="x",
@@ -194,7 +201,7 @@ class TestScenarioSpec:
                 n=50,
                 reps=1,
                 seed=0,
-                lam_rule=-1.0,
+                lam=-1.0,
             )
 
     def test_domain_checks(self):
@@ -297,6 +304,29 @@ class TestRunScenario:
         out = run_scenario(scenario_spec(2, n=60, reps=3, p=0.8, seed=7))
         assert sizes == ([] if workers is None else [workers])
         assert out[0].estimates.size == 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_every_fit_of_a_run_shares_one_config(self, monkeypatch, threads):
+        import curetail.simulate as sim
+
+        inline_pool(monkeypatch)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setenv("CURETAIL_THREADS", threads)
+        seen = []
+        real = sim.fit_estimate
+
+        def spy(name, ordered, curve, config):
+            seen.append(config)
+            return real(name, ordered, curve, config)
+
+        monkeypatch.setattr(sim, "fit_estimate", spy)
+        spec = ScenarioSpec(scenario_id="x", susceptible=Exponential(),
+                            censoring=UniformCensoring(0, 3), p=0.8, n=60, reps=3, seed=5,
+                            k_rule=17, lam=0.25)
+        run_scenario(spec, ("gumbel-pot",))
+        assert len(seen) == 6
+        assert all(config is seen[0] for config in seen)
+        assert seen[0] == spec.fit_config()
 
     def test_failed_fits_are_counted_and_excluded(self, monkeypatch):
         import curetail.simulate as sim

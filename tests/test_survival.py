@@ -140,6 +140,15 @@ class TestKaplanMeier:
         with pytest.raises(ValidationError, match="equal length"):
             KaplanMeierCurve([1.0, 2.0], [0.1, 0.2], [5])
 
+    @pytest.mark.parametrize("times, cdf", [
+        ([1.0, 2.0], [0.2, np.nan]),
+        ([np.nan, 2.0], [0.2, 0.3]),
+        ([1.0, np.inf], [0.2, 0.3]),
+    ])
+    def test_curve_must_be_finite(self, times, cdf):
+        with pytest.raises(ValidationError, match="jump times and cdf values must be finite"):
+            KaplanMeierCurve(times, cdf, [3, 2])
+
 
 class TestExceedances:
     def test_basic_excesses(self):
