@@ -476,31 +476,43 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     return at(best_x)
 
 
-def pp_loss(model, ordered, curve, k, slope, p, lam, p_n=None):
+def _kept_rows(model, f, level, f_thr=None):
+    """The rows of one level, in the scalar form of ``profile_levels``.
+
+    Returns ``(keep, rows)``: the terms of ``f`` that ``model``'s boundary
+    rule (``_admissible``) keeps at ``level``, and their rows ``s(1 -
+    f/level)``, less ``s(1 - f_thr/level)`` when a threshold is given.  An
+    inadmissible threshold keeps no term.  The public losses and plot
+    series read the rule here, apart from the kernel and its workspace, so
+    that the tests can hold the kernel against them.
+    """
+    t = 1.0 - f / level
+    keep = _admissible(model, t)
+    if f_thr is not None:
+        t_thr = np.float64(1.0 - f_thr / level)
+        keep &= _admissible(model, t_thr)
+    rows = _s_values(model, t[keep])
+    if f_thr is not None and rows.size:
+        rows = rows - _s_values(model, np.asarray([t_thr]))[0]
+    return keep, rows
+
+
+def pp_loss(model, ordered, curve, k, slope, p, lam):
     """Penalized plot loss at explicit slope and cure level.
 
-    Terms whose transform argument falls within ``BOUNDARY_EPS`` of {0, 1}
-    are dropped; an inadmissible threshold transform drops every term,
-    leaving only the penalty.
+    The rows and kept terms are those of ``pp_fit`` (``_kept_rows``), the
+    log excesses the regressor; a level that keeps no term scores its
+    penalty alone.
     """
     _check_model(model)
     tail = top_tail(ordered, curve, k)
     x = tail.excesses(log_scale=True)
-    p_n = tail.p_n if p_n is None else p_n
-    check_real(p_n, "p_n must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-    _check_level(p, "p", InfeasiblePError, p_n)
+    _check_level(p, "p", InfeasiblePError, tail.p_n)
     _check_lam(lam)
     check_real(slope, "slope must be a finite real")
-    penalty = lam * (p - p_n) ** 2
-    t_top = 1.0 - tail.f_top / p
-    t_thr = np.float64(1.0 - tail.f_thr / p)
-    keep = _admissible(model, t_top) & _admissible(model, t_thr)
-    if not keep.any():
-        return penalty
-    s_thr = float(_s_values(model, np.asarray([t_thr]))[0]) if t_thr < 1.0 else 0.0
-    y = _s_values(model, t_top[keep]) - s_thr
-    r = y - slope * x[keep]
-    return float(r @ r) + penalty
+    keep, rows = _kept_rows(model, tail.f_top, p, tail.f_thr)
+    r = rows - slope * x[keep]
+    return float(r @ r) + lam * (p - tail.p_n) ** 2
 
 
 def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -> CureFit:
@@ -538,8 +550,6 @@ def gof_series(model, ordered, curve, k, p_hat) -> PlotSeries:
     tail = top_tail(ordered, curve, k)
     tail.excesses(log_scale=True)  # refuses a non-positive threshold, as the fits do
     _check_level(p_hat, "p", InfeasiblePError)
-    t_top = 1.0 - tail.f_top / p_hat
-    keep = _admissible(model, t_top)
-    x = np.log(tail.times[keep])
-    y = _s_values(model, t_top[keep])
-    return PlotSeries(x, y, model, tail.k, tail.k - int(np.count_nonzero(keep)))
+    keep, y = _kept_rows(model, tail.f_top, p_hat)
+    return PlotSeries(np.log(tail.times[keep]), y, model, tail.k,
+                      tail.k - int(np.count_nonzero(keep)))

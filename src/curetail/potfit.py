@@ -28,10 +28,10 @@ from .errors import (
 from .plotfit import (
     FitConfig,
     PlotSeries,
-    _admissible,
     _check_lam,
     _check_level,
     _golden_width,
+    _kept_rows,
     minimize_on_interval,
     profile_levels,
 )
@@ -73,32 +73,22 @@ class PotFit:
     boundary: bool = False
 
 
-def pot_loss(exc_curve, exceedance_values, scale, pi, lam, p_n, p_k):
+def pot_loss(domain, ordered, curve, k, scale, pi, lam):
     """Penalized exceedance loss at explicit scale and conditional level.
 
-    Each exceedance is matched against the exponential quantile implied by
-    the conditional curve at level ``pi``; terms whose quantile argument
-    hits the lower boundary are dropped.  The penalty acts on the
+    The excesses and the exceedance curve are those of ``pot_fit``, and so
+    are the rows: the Pareto rows ``-log(1 - F/pi)`` of ``_kept_rows``,
+    against the excesses, with slope ``scale``.  The penalty acts on the
     recovered unconditional cure fraction.
     """
-    e = np.asarray(exceedance_values, dtype=float)
-    if e.ndim != 1 or e.size == 0:
-        raise ValidationError("exceedance_values must be a non-empty 1-d array")
     check_real(scale, "scale must be a positive real", lambda v: v > 0)
     _check_lam(lam)
-    check_real(p_n, "p_n must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-    check_real(p_k, "p_k must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-    lower = float(exc_curve.cdf_values[-1]) if exc_curve.jump_times.size else 0.0
-    _check_level(pi, "pi", InfeasiblePiError, lower)
-    f_k = np.asarray(km_eval(exc_curve, e))
-    arg = 1.0 - f_k / pi
-    keep = _admissible(PlottingModel.PARETO, arg)
-    p = 1.0 - (1.0 - pi) * p_k
-    penalty = lam * (p - p_n) ** 2
-    if not np.any(keep):
-        return penalty
-    r = e[keep] + scale * np.log(arg[keep])
-    return float(r @ r) + penalty
+    tail = top_tail(ordered, curve, k)
+    e, f_k = _exceedance_curve(tail, domain)
+    _check_level(pi, "pi", InfeasiblePiError, float(f_k[-1]))
+    keep, rows = _kept_rows(PlottingModel.PARETO, f_k, pi)
+    r = e[keep] - scale * rows
+    return float(r @ r) + lam * (1.0 - (1.0 - pi) * tail.p_k - tail.p_n) ** 2
 
 
 def _exceedance_curve(tail, domain):
@@ -166,8 +156,6 @@ def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
     check_real(scale_hat, "scale must be a positive real", lambda v: v > 0)
     tail = top_tail(ordered, curve, k)
     e, f_k = _exceedance_curve(tail, domain)
-    arg = 1.0 - f_k / pi_hat
-    keep = _admissible(PlottingModel.PARETO, arg)
-    x = e[keep]
-    y = -scale_hat * np.log(arg[keep])
-    return PlotSeries(x, y, domain, tail.k, tail.k - int(np.count_nonzero(keep)))
+    keep, rows = _kept_rows(PlottingModel.PARETO, f_k, pi_hat)
+    return PlotSeries(e[keep], scale_hat * rows, domain, tail.k,
+                      tail.k - int(np.count_nonzero(keep)))

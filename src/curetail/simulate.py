@@ -263,9 +263,12 @@ def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSumm
     # os.sched_getaffinity is missing on macOS and Windows
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     try:
-        workers = min(int(raw), spec.reps, cpus or 1)
+        threads = int(raw)
     except ValueError:
-        raise ValidationError(f"CURETAIL_THREADS must be an integer, got {raw!r}") from None
+        threads = 0
+    if threads < 1:
+        raise ValidationError(f"CURETAIL_THREADS must be a positive integer, got {raw!r}")
+    workers = min(threads, spec.reps, cpus or 1)
     fit_rep = functools.partial(_fit_one, spec, names, spec.fit_config())
     if workers > 1:
         # imported here: it adds about 15 ms to every import of the package

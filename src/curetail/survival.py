@@ -126,21 +126,18 @@ def order_sample(sample: SurvivalSample) -> OrderedSample:
 class KaplanMeierCurve:
     """Product-limit estimate of the lifetime distribution function.
 
-    ``jump_times`` holds the distinct event times in increasing order,
-    ``cdf_values`` the estimate immediately after each jump and
-    ``n_at_risk`` the risk-set size at each jump.  A sample without events
-    yields empty arrays and an identically zero curve.
+    ``jump_times`` holds the distinct event times in increasing order and
+    ``cdf_values`` the estimate immediately after each jump.  A sample
+    without events yields empty arrays and an identically zero curve.
     """
 
     jump_times: np.ndarray
     cdf_values: np.ndarray
-    n_at_risk: np.ndarray
 
     def __post_init__(self):
         jt = np.asarray(self.jump_times, dtype=float)
         cv = np.asarray(self.cdf_values, dtype=float)
-        nr = np.asarray(self.n_at_risk, dtype=np.int64)
-        if not (jt.shape == cv.shape == nr.shape) or jt.ndim != 1:
+        if jt.shape != cv.shape or jt.ndim != 1:
             raise ValidationError("curve arrays must be 1-d and of equal length")
         if jt.size:
             if not (np.all(np.isfinite(jt)) and np.all(np.isfinite(cv))):
@@ -151,7 +148,6 @@ class KaplanMeierCurve:
                 raise ValidationError("cdf values must be non-decreasing within [0, 1]")
         object.__setattr__(self, "jump_times", _frozen(jt))
         object.__setattr__(self, "cdf_values", _frozen(cv))
-        object.__setattr__(self, "n_at_risk", _frozen(nr))
 
 
 def km_fit(sample: SurvivalSample | OrderedSample) -> KaplanMeierCurve:
@@ -170,11 +166,11 @@ def km_fit(sample: SurvivalSample | OrderedSample) -> KaplanMeierCurve:
     event_times = t[e == 1]
     if event_times.size == 0:
         empty = np.empty(0)
-        return KaplanMeierCurve(empty, empty.copy(), np.empty(0, dtype=np.int64))
+        return KaplanMeierCurve(empty, empty.copy())
     jumps, d = np.unique(event_times, return_counts=True)
     at_risk = n - np.searchsorted(t, jumps, side="left")
     survival = np.cumprod(1.0 - d / at_risk)
-    return KaplanMeierCurve(jumps, 1.0 - survival, at_risk)
+    return KaplanMeierCurve(jumps, 1.0 - survival)
 
 
 def km_eval(curve: KaplanMeierCurve, t):
@@ -270,6 +266,11 @@ def exceedances(ordered: OrderedSample, k: int, log_scale: bool = False) -> Surv
     counts as censored: the curve at the threshold already holds it.  With
     ``log_scale`` the excesses are taken on the log scale, which requires a
     strictly positive threshold.
+
+    No fit calls this: the exceedance fits read the same excesses and
+    indicators from ``TopTail``.  It is kept as the independent route to
+    the exceedance curve (``km_fit`` of its result) that the tests compare
+    the fits' route against.
     """
     threshold, times, events = _top(ordered, k, 1)
     return SurvivalSample(_excesses(threshold, times, log_scale),

@@ -47,8 +47,6 @@ RNG = np.random.default_rng(4)
 SAMPLE = SurvivalSample(RNG.exponential(1.0, 50) + 0.01, (RNG.random(50) < 0.7).astype(int))
 ORDERED = order_sample(SAMPLE)
 CURVE = km_fit(ORDERED)
-EXC = exceedances(ORDERED, 20)
-EXC_CURVE = km_fit(EXC)
 
 
 def spec(**fields):
@@ -74,15 +72,14 @@ SITES = [
      "real", [0.5, 1], InfeasiblePiError),
     ("pp_loss slope", lambda v: pp_loss(PlottingModel.PARETO, ORDERED, CURVE, 10, v, 1.0, 0.0),
      "real", [1.5, 2], ValidationError),
-    ("pp_loss p_n",
-     lambda v: pp_loss(PlottingModel.PARETO, ORDERED, CURVE, 10, 1.5, 1.0, 0.5, v),
+    ("pp_loss lam", lambda v: pp_loss(PlottingModel.PARETO, ORDERED, CURVE, 10, 1.5, 1.0, v),
      "real", [0.5, 1], ValidationError),
-    ("pot_loss scale", lambda v: pot_loss(EXC_CURVE, EXC.times, v, 1.0, 0.0, 0.5, 0.5), "real",
-     [1.5, 2], ValidationError),
-    ("pot_loss p_n", lambda v: pot_loss(EXC_CURVE, EXC.times, 1.5, 1.0, 0.5, v, 0.5), "real",
-     [0.5, 1], ValidationError),
-    ("pot_loss p_k", lambda v: pot_loss(EXC_CURVE, EXC.times, 1.5, 1.0, 0.5, 0.5, v), "real",
-     [0.5, 0], ValidationError),
+    ("pot_loss scale", lambda v: pot_loss(PotDomain.GUMBEL, ORDERED, CURVE, 20, v, 1.0, 0.0),
+     "real", [1.5, 2], ValidationError),
+    ("pot_loss pi", lambda v: pot_loss(PotDomain.GUMBEL, ORDERED, CURVE, 20, 1.5, v, 0.5),
+     "real", [1], InfeasiblePiError),
+    ("pot_loss lam", lambda v: pot_loss(PotDomain.GUMBEL, ORDERED, CURVE, 20, 1.5, 1.0, v),
+     "real", [0.5, 1], ValidationError),
     ("pot_gof_series scale",
      lambda v: pot_gof_series(ORDERED, CURVE, PotDomain.GUMBEL, 20, 1.0, v),
      "real", [1.5, 2], ValidationError),

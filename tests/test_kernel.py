@@ -121,7 +121,7 @@ class PlotCase:
         return self.profile(levels)
 
     def scalar_loss(self, slope, p):
-        return pp_loss(self.model, self.ordered, self.curve, self.k, slope, p, self.lam, self.p_n)
+        return pp_loss(self.model, self.ordered, self.curve, self.k, slope, p, self.lam)
 
     def penalty(self, p):
         return self.lam * (p - self.p_n) ** 2
@@ -198,7 +198,7 @@ def test_pot_kernel_matches_pot_loss(domain, k):
         assert skipped[i] == k - np.count_nonzero(arg > BOUNDARY_EPS)
         scale = float(slope[i])
         assert scale > 0.0
-        expected = pot_loss(case.exc_curve, case.e, scale, pi, case.lam, case.p_n, case.p_k)
+        expected = pot_loss(case.domain, case.ordered, case.curve, k, scale, pi, case.lam)
         assert_allclose(loss[i], expected, rtol=RTOL)
 
 

@@ -9,7 +9,6 @@ from curetail import (
     FitConfig,
     InfeasiblePiError,
     InvalidKError,
-    KaplanMeierCurve,
     NonPositiveThresholdError,
     PotDomain,
     SurvivalSample,
@@ -62,19 +61,19 @@ def exact_exceedance_sample(sigma0=0.7, k=50, m=30, threshold=1.0):
     return SurvivalSample(times, events)
 
 
-def exact_conditional_curve(sigma0=1.3, k=40):
-    """Synthetic curve/values pair with zero loss at (sigma0, pi = 1)."""
-    j = np.arange(1, k + 1)
-    f = j / (k + 1)
-    e = -sigma0 * np.log1p(-f)
-    curve = KaplanMeierCurve(e, f, np.arange(k, 0, -1))
-    return curve, e
+def exact_case(sigma0=1.3, k=40):
+    """``exact_exceedance_sample`` ordered, its curve, and the lower bound
+    of the conditional level, the exceedance curve's final value."""
+    o = order_sample(exact_exceedance_sample(sigma0=sigma0, k=k))
+    c = km_fit(o)
+    _, f_k = _exceedance_curve(top_tail(o, c, k), PotDomain.GUMBEL)
+    return o, c, float(f_k[-1])
 
 
 class TestPotLoss:
     def test_zero_at_exact_construction(self):
-        curve, e = exact_conditional_curve(sigma0=1.3, k=40)
-        loss = pot_loss(curve, e, 1.3, 1.0, 0.0, 0.5, 0.5)
+        o, c, _ = exact_case(sigma0=1.3, k=40)
+        loss = pot_loss(PotDomain.GUMBEL, o, c, 40, 1.3, 1.0, 0.0)
         assert loss < 1e-18
 
     def test_profiled_scale_is_least_squares(self):
@@ -82,64 +81,66 @@ class TestPotLoss:
         for _ in range(100):
             o, c = prepared(rng, n=int(rng.integers(80, 250)))
             k = int(rng.integers(5, o.n // 2))
-            exc = exceedances(o, k)
-            ec = km_fit(exc)
-            if ec.jump_times.size == 0:
-                continue
-            lower = float(ec.cdf_values[-1])
-            if lower >= 0.99:
+            _, f_k = _exceedance_curve(top_tail(o, c, k), PotDomain.GUMBEL)
+            lower = float(f_k[-1])
+            if lower == 0.0 or lower >= 0.99:
                 continue
             pi = rng.uniform(lower + 0.005, 1.0)
             if pi <= lower:
                 continue
+
+            def loss(scale):
+                return pot_loss(PotDomain.GUMBEL, o, c, k, scale, pi, 0.0)
+
             base, d = 0.5, 0.5
-            f0 = pot_loss(ec, exc.times, base, pi, 0.0, 0.5, 0.5)
-            f1 = pot_loss(ec, exc.times, base + d, pi, 0.0, 0.5, 0.5)
-            f2 = pot_loss(ec, exc.times, base + 2 * d, pi, 0.0, 0.5, 0.5)
+            f0, f1, f2 = loss(base), loss(base + d), loss(base + 2 * d)
             a = (f0 - 2 * f1 + f2) / 2
             if a <= 0:
                 continue
             s_best = base + d * (-(f1 - f0 - a) / (2 * a))
             if s_best <= 1e-3:
                 continue
-            best = pot_loss(ec, exc.times, s_best, pi, 0.0, 0.5, 0.5)
+            best = loss(s_best)
             for delta in (-1e-3, 1e-3):
-                assert best <= pot_loss(ec, exc.times, s_best + delta, pi, 0.0, 0.5, 0.5) + 1e-12
+                assert best <= loss(s_best + delta) + 1e-12
 
     def test_penalty_acts_on_recovered_fraction(self):
-        # the synthetic curve's final value k/(k+1) bounds pi from below
-        curve, e = exact_conditional_curve(k=20)
-        p_n, p_k, pi = 0.6, 0.3, 0.98
-        l0 = pot_loss(curve, e, 1.0, pi, 0.0, p_n, p_k)
-        l1 = pot_loss(curve, e, 1.0, pi, 5.0, p_n, p_k)
-        p = 1.0 - (1.0 - pi) * p_k
-        assert_allclose(l1 - l0, 5.0 * (p - p_n) ** 2, rtol=1e-9)
+        # the exceedance curve's final value (k-1)/k bounds pi from below
+        o, c, lower = exact_case(k=20)
+        tail = top_tail(o, c, 20)
+        pi = 0.98
+        assert lower < pi
+        l0 = pot_loss(PotDomain.GUMBEL, o, c, 20, 1.0, pi, 0.0)
+        l1 = pot_loss(PotDomain.GUMBEL, o, c, 20, 1.0, pi, 5.0)
+        p = 1.0 - (1.0 - pi) * tail.p_k
+        assert p != tail.p_n
+        assert_allclose(l1 - l0, 5.0 * (p - tail.p_n) ** 2, rtol=1e-9)
 
     def test_boundary_terms_dropped(self):
-        curve, e = exact_conditional_curve(sigma0=1.3, k=10)
-        lower = float(curve.cdf_values[-1])
-        # one float above the bound the top term's argument is ~1e-16 and
-        # must be dropped; kept, its residual alone would exceed 1000
+        o, c, lower = exact_case(sigma0=1.3, k=10)
+        # one float above the bound the top terms' argument is ~1e-16 and
+        # must be dropped; kept, their residuals alone would exceed 1000
         notch = float(np.nextafter(lower, 1.0))
-        loss = pot_loss(curve, e, 1.3, notch, 0.0, 0.5, 0.5)
+        loss = pot_loss(PotDomain.GUMBEL, o, c, 10, 1.3, notch, 0.0)
         assert np.isfinite(loss)
         assert loss < 100.0
 
     def test_validation(self):
-        curve, e = exact_conditional_curve(k=10)
+        o, c, lower = exact_case(k=10)
         with pytest.raises(ValidationError):
-            pot_loss(curve, e, 0.0, 1.0, 0.0, 0.5, 0.5)
+            pot_loss(PotDomain.GUMBEL, o, c, 10, 0.0, 1.0, 0.0)
         with pytest.raises(ValidationError):
-            pot_loss(curve, e, -1.0, 1.0, 0.0, 0.5, 0.5)
+            pot_loss(PotDomain.GUMBEL, o, c, 10, -1.0, 1.0, 0.0)
         with pytest.raises(ValidationError):
-            pot_loss(curve, e, 1.0, 1.0, -0.5, 0.5, 0.5)
+            pot_loss(PotDomain.GUMBEL, o, c, 10, 1.0, 1.0, -0.5)
+        with pytest.raises(ValidationError):
+            pot_loss("gumbel", o, c, 10, 1.0, 1.0, 0.0)
         with pytest.raises(InfeasiblePiError):
-            pot_loss(curve, e, 1.0, 0.0, 0.0, 0.5, 0.5)
+            pot_loss(PotDomain.GUMBEL, o, c, 10, 1.0, 0.0, 0.0)
         with pytest.raises(InfeasiblePiError):
-            pot_loss(curve, e, 1.0, 1.5, 0.0, 0.5, 0.5)
-        lower = float(curve.cdf_values[-1])
+            pot_loss(PotDomain.GUMBEL, o, c, 10, 1.0, 1.5, 0.0)
         with pytest.raises(InfeasiblePiError):
-            pot_loss(curve, e, 1.0, lower / 2, 0.0, 0.5, 0.5)
+            pot_loss(PotDomain.GUMBEL, o, c, 10, 1.0, lower / 2, 0.0)
 
 
 class TestPotFit:
@@ -325,9 +326,7 @@ class TestEventAtThreshold:
         o, c = threshold_tied_sample(self.EVENTS)
         for domain in PotDomain:
             fit = pot_fit(o, c, domain, FitConfig(k=6))
-            exc = exceedances(o, 6, log_scale=domain is PotDomain.FRECHET)
-            loss = pot_loss(km_fit(exc), exc.times, fit.scale_hat, fit.pi_hat, 6 / o.n,
-                            p_benchmark(c, o), fit.p_k)
+            loss = pot_loss(domain, o, c, 6, fit.scale_hat, fit.pi_hat, 6 / o.n)
             assert_allclose(loss, fit.loss, rtol=1e-12)
 
     def test_no_event_above_the_threshold(self):

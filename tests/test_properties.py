@@ -20,7 +20,9 @@ from curetail import (
     order_sample,
     p_benchmark,
     pot_fit,
+    pot_loss,
     pp_fit,
+    pp_loss,
 )
 
 MODELS = (*PlottingModel, *PotDomain)
@@ -94,8 +96,13 @@ def test_penalty_limit_pins_the_benchmark(case):
 @settings(max_examples=60)
 @given(samples())
 def test_fit_losses_match_the_oracle(case):
+    # the oracle restates the losses from the paper; the public losses, at
+    # the fit's own estimates, must reproduce the fit's loss by the row
+    # rule they share with the kernel
     sample, k, _ = case
     ordered = order_sample(sample)
+    curve = km_fit(ordered)
+    lam = k / sample.n
     out, _ = fits(sample, k)
     for model, fit in out.items():
         # a boundary exceedance fit may have no identified scale, and the
@@ -103,6 +110,47 @@ def test_fit_losses_match_the_oracle(case):
         if isinstance(fit, type) or (isinstance(model, PotDomain) and fit.boundary):
             continue
         name = f"{model.value}-pot" if isinstance(model, PotDomain) else model.value
-        _, _, loss = grid_oracle(ordered.sorted_times, ordered.concomitant_events, k, name,
-                                 k / sample.n)
+        _, _, loss = grid_oracle(ordered.sorted_times, ordered.concomitant_events, k, name, lam)
         assert abs(fit.loss - loss) <= 1e-8, (model, fit, loss)
+        if isinstance(model, PotDomain):
+            public = pot_loss(model, ordered, curve, k, fit.scale_hat, fit.pi_hat, lam)
+        elif fit.boundary or not np.isfinite(fit.slope_hat):
+            continue
+        else:
+            public = pp_loss(model, ordered, curve, k, fit.slope_hat, fit.p_hat, lam)
+        assert abs(public - fit.loss) <= 1e-12 * max(1.0, fit.loss), (model, fit, public)
+
+
+@settings(max_examples=60)
+@given(samples(), st.sampled_from([0.5, 3.0, 100.0]), st.sampled_from([None, 0.0]))
+def test_gumbel_pot_is_translation_invariant(case, shift, lam):
+    # the Gumbel variant reads raw excesses and a curve fixed by the order
+    # of the times, so a common shift moves its loss by rounding alone.
+    # Its estimates may move further: where the profile is flat or two
+    # basins tie, as coarse ties allow, rounding picks the level, so the
+    # shifted estimates must be an equally good minimum of the plain loss
+    sample, k, _ = case
+    config = FitConfig(k=k, lam=lam)
+    ordered = order_sample(sample)
+    curve = km_fit(ordered)
+    plain = gumbel_pot(ordered, curve, config)
+    moved = order_sample(SurvivalSample(sample.times + shift, sample.events))
+    moved = gumbel_pot(moved, km_fit(moved), config)
+    if isinstance(plain, type) or isinstance(moved, type):
+        assert moved is plain
+        return
+    tol = 1e-12 * max(1.0, plain.loss)
+    assert abs(moved.loss - plain.loss) <= tol, (plain, moved)
+    assert moved.boundary == plain.boundary
+    if not plain.boundary:
+        again = pot_loss(PotDomain.GUMBEL, ordered, curve, k, moved.scale_hat, moved.pi_hat,
+                         config.resolved_lam(sample.n))
+        assert abs(again - plain.loss) <= tol, (plain, moved, again)
+
+
+def gumbel_pot(ordered, curve, config):
+    """The gumbel-pot fit, or the class of the error it raised."""
+    try:
+        return pot_fit(ordered, curve, PotDomain.GUMBEL, config)
+    except CuretailError as exc:
+        return type(exc)

@@ -279,10 +279,11 @@ class TestRunScenario:
             assert a.failures == b.failures
 
     def test_worker_count_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("CURETAIL_THREADS", "x")
         spec = scenario_spec(2, n=60, reps=2, p=0.8, seed=7)
-        with pytest.raises(ValidationError, match="CURETAIL_THREADS"):
-            run_scenario(spec)
+        for raw in ("x", "0", "-3"):
+            monkeypatch.setenv("CURETAIL_THREADS", raw)
+            with pytest.raises(ValidationError, match="CURETAIL_THREADS must be a positive"):
+                run_scenario(spec)
 
     @pytest.mark.parametrize("reps, cpus, workers", [(3, 8, 3), (6, 2, 2), (4, 1, None)])
     def test_pool_is_capped_by_replications_and_cpus(self, monkeypatch, reps, cpus, workers):

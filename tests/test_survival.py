@@ -134,11 +134,11 @@ class TestKaplanMeier:
 
     def test_curve_validation(self):
         with pytest.raises(ValidationError):
-            KaplanMeierCurve([2.0, 1.0], [0.1, 0.2], [5, 4])
+            KaplanMeierCurve([2.0, 1.0], [0.1, 0.2])
         with pytest.raises(ValidationError):
-            KaplanMeierCurve([1.0, 2.0], [0.5, 0.2], [5, 4])
+            KaplanMeierCurve([1.0, 2.0], [0.5, 0.2])
         with pytest.raises(ValidationError, match="equal length"):
-            KaplanMeierCurve([1.0, 2.0], [0.1, 0.2], [5])
+            KaplanMeierCurve([1.0, 2.0], [0.1])
 
     @pytest.mark.parametrize("times, cdf", [
         ([1.0, 2.0], [0.2, np.nan]),
@@ -147,7 +147,7 @@ class TestKaplanMeier:
     ])
     def test_curve_must_be_finite(self, times, cdf):
         with pytest.raises(ValidationError, match="jump times and cdf values must be finite"):
-            KaplanMeierCurve(times, cdf, [3, 2])
+            KaplanMeierCurve(times, cdf)
 
 
 class TestExceedances:
