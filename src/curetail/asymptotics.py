@@ -32,16 +32,14 @@ _BLOCK = 1 << 13
 
 @dataclass(frozen=True)
 class CensoringTail:
-    """Censoring tail index gamma_c < 0 with tail size k out of n."""
+    """Censoring tail index gamma_c < 0 with tail size k."""
 
     gamma_c: float
     k: int
-    n: int
 
     def __post_init__(self):
         check_real(self.gamma_c, "gamma_c must be a finite negative real", lambda v: v < 0)
         check_int(self.k, "k must be a positive integer", 1)
-        check_int(self.n, f"n must exceed k = {self.k}", self.k + 1)
 
 
 def _h_values(gamma_c: float, t: np.ndarray) -> np.ndarray:

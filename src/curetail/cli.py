@@ -198,7 +198,7 @@ def _cmd_stress(args) -> int:
 
 def _cmd_diag(args) -> int:
     _check_size("--k", args.k)
-    tail = CensoringTail(gamma_c=args.gamma_c, k=args.k, n=args.k + 1)
+    tail = CensoringTail(gamma_c=args.gamma_c, k=args.k)
     _emit_json({"gamma_c": args.gamma_c, "k": args.k, "sigma2_k": sigma2_k(tail)})
     return 0
 

@@ -122,8 +122,10 @@ def stress_sweep(sample, fractions, estimator: str, config: FitConfig) -> list[S
 
     The tail fraction k/n must strictly exceed every stress fraction, so
     the threshold order statistic is never one of the censored-over
-    points.  Fraction 0 reproduces the unstressed fit exactly.
+    points.  Fraction 0 reproduces the unstressed fit exactly.  Any iterable
+    of fractions is read once.
     """
+    fractions = list(fractions)
     if not fractions:
         raise ValidationError("need at least one stress fraction")
     for f in fractions:

@@ -11,9 +11,7 @@ regenerated in isolation.
 """
 from __future__ import annotations
 
-import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,13 +242,14 @@ def _summary_stats(values: np.ndarray, p_true: float) -> dict:
 
 
 def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSummary]:
-    """Run every replication and summarize each requested estimator.
+    """Run every replication in process and summarize each requested estimator.
 
     The benchmark ``pn`` is always appended when not requested.  Failed
-    fits are excluded from the summaries and counted per estimator.
-    Parallelism over replications (CURETAIL_THREADS workers, at most one
-    per replication and per usable CPU) does not change any output bit:
-    streams are per-replication and the reduction order is fixed.
+    fits are excluded from the summaries and counted per estimator.  The
+    result depends only on the arguments: replication r is fitted on its
+    own stream (seed, r) with the run's one ``FitConfig``, and no
+    environment variable is read and no child process started, so a
+    study spreads over CPUs by running one process per scenario cell.
     """
     names = list(dict.fromkeys(estimators))
     for name in names:
@@ -258,27 +257,8 @@ def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSumm
     if "pn" not in names:
         names.append("pn")
     names = tuple(names)
-
-    raw = os.environ.get("CURETAIL_THREADS", "1")
-    # os.sched_getaffinity is missing on macOS and Windows
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValidationError(f"CURETAIL_THREADS must be a positive integer, got {raw!r}")
-    workers = min(threads, spec.reps, cpus or 1)
-    fit_rep = functools.partial(_fit_one, spec, names, spec.fit_config())
-    if workers > 1:
-        # imported here: it adds about 15 ms to every import of the package
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(fit_rep, range(spec.reps),
-                                 chunksize=max(1, spec.reps // (4 * workers))))
-    else:
-        rows = list(map(fit_rep, range(spec.reps)))
+    config = spec.fit_config()
+    rows = [_fit_one(spec, names, config, r) for r in range(spec.reps)]
 
     summaries = []
     for name in names:

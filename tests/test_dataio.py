@@ -182,6 +182,13 @@ class TestStressSweep:
         pns = [r.p_n for r in rows]
         assert all(b <= a for a, b in zip(pns, pns[1:]))
 
+    @pytest.mark.parametrize("wrap", [np.asarray, iter], ids=["array", "iterator"])
+    def test_any_iterable_of_fractions(self, wrap):
+        config = FitConfig(k=200, lam=0.5)
+        fractions = [0.0, 0.1, 0.2]
+        rows = stress_sweep(self.sample, wrap(fractions), "gumbel-pot", config)
+        assert rows == stress_sweep(self.sample, fractions, "gumbel-pot", config)
+
     def test_k_check_precedes_range_check(self):
         # k/n = 0.5 with a requested fraction 0.5: the tail-size check
         # fires even though 0.5 also exceeds the sweep range cap

@@ -94,10 +94,9 @@ SITES = [
     ("ScenarioSpec.lam_rule", lambda v: spec(lam=v), "real", [0.25, 1], ValidationError),
     ("simulate.sample_scenario rep_index", lambda v: sample_scenario(spec(), v), "int", [3],
      ValidationError),
-    ("CensoringTail.gamma_c", lambda v: CensoringTail(v, 3, 10), "real", [-0.5, -1],
+    ("CensoringTail.gamma_c", lambda v: CensoringTail(v, 3), "real", [-0.5, -1],
      ValidationError),
-    ("CensoringTail.k", lambda v: CensoringTail(-1.0, v, 10), "int", [3], ValidationError),
-    ("CensoringTail.n", lambda v: CensoringTail(-1.0, 3, v), "int", [10], ValidationError),
+    ("CensoringTail.k", lambda v: CensoringTail(-1.0, v), "int", [3], ValidationError),
     ("h_gamma gamma_c", lambda v: h_gamma(v, 2.0), "real", [-0.5, -1], ValidationError),
     ("h_gamma t", lambda v: h_gamma(-1.0, v), "real", [2.5, 2], ValidationError),
     ("s_transform t", lambda v: s_transform(PlottingModel.PARETO, v), "real", [0.5],

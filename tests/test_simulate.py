@@ -1,4 +1,6 @@
 """Sampling mechanism, scenario catalogue and the replication harness."""
+import os
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -221,31 +223,6 @@ class TestScenarioSpec:
                 ScenarioSpec(**kwargs)
 
 
-def inline_pool(monkeypatch):
-    """Replace the process pool with one that maps inline and return the
-    list its sizes are recorded in: a real pool forks every requested
-    worker at the first submit."""
-    import concurrent.futures
-
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return sizes
-
-
 class TestRunScenario:
     def test_summary_definitions(self):
         spec = scenario_spec(2, n=80, reps=6, p=0.8, seed=7)
@@ -266,53 +243,9 @@ class TestRunScenario:
         with pytest.raises(ValidationError):
             run_scenario(spec, ("median-of-means",))
 
-    def test_reproducible_across_worker_counts(self, monkeypatch):
-        spec = scenario_spec(2, n=60, reps=4, p=0.8, seed=13)
-        monkeypatch.delenv("CURETAIL_THREADS", raising=False)
-        serial = run_scenario(spec, ("gumbel-pot",))
-        monkeypatch.setenv("CURETAIL_THREADS", "2")
-        parallel = run_scenario(spec, ("gumbel-pot",))
-        for a, b in zip(serial, parallel):
-            assert a.label == b.label
-            assert_array_equal(a.estimates, b.estimates)
-            assert_array_equal(a.rep_indices, b.rep_indices)
-            assert a.failures == b.failures
-
-    def test_worker_count_must_be_an_integer(self, monkeypatch):
-        spec = scenario_spec(2, n=60, reps=2, p=0.8, seed=7)
-        for raw in ("x", "0", "-3"):
-            monkeypatch.setenv("CURETAIL_THREADS", raw)
-            with pytest.raises(ValidationError, match="CURETAIL_THREADS must be a positive"):
-                run_scenario(spec)
-
-    @pytest.mark.parametrize("reps, cpus, workers", [(3, 8, 3), (6, 2, 2), (4, 1, None)])
-    def test_pool_is_capped_by_replications_and_cpus(self, monkeypatch, reps, cpus, workers):
-        sizes = inline_pool(monkeypatch)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setenv("CURETAIL_THREADS", "1000")
-        spec = scenario_spec(2, n=60, reps=reps, p=0.8, seed=7)
-        out = run_scenario(spec)
-        assert sizes == ([] if workers is None else [workers])
-        assert out[0].estimates.size == reps
-
-    @pytest.mark.parametrize("cpus, workers", [(8, 3), (1, None), (None, None)])
-    def test_cpu_count_caps_the_pool_without_affinity(self, monkeypatch, cpus, workers):
-        # macOS and Windows have no os.sched_getaffinity
-        sizes = inline_pool(monkeypatch)
-        monkeypatch.delattr("os.sched_getaffinity")
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        monkeypatch.setenv("CURETAIL_THREADS", "1000")
-        out = run_scenario(scenario_spec(2, n=60, reps=3, p=0.8, seed=7))
-        assert sizes == ([] if workers is None else [workers])
-        assert out[0].estimates.size == 3
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_every_fit_of_a_run_shares_one_config(self, monkeypatch, threads):
+    def test_every_fit_of_a_run_shares_one_config(self, monkeypatch):
         import curetail.simulate as sim
 
-        inline_pool(monkeypatch)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setenv("CURETAIL_THREADS", threads)
         seen = []
         real = sim.fit_estimate
 
@@ -349,12 +282,41 @@ class TestRunScenario:
         assert by_label["pn"].failures == 0
         assert by_label["pn"].estimates.size == 3
 
+    def test_same_summaries_inside_a_pool_worker(self, monkeypatch):
+        # a daemonic pool worker may start no child process, whatever
+        # CURETAIL_THREADS a caller left in the environment
+        import multiprocessing
+
+        monkeypatch.setenv("CURETAIL_THREADS", "2")
+        spec = scenario_spec(2, n=60, reps=4, p=0.8, seed=13)
+        direct = run_scenario(spec, ("gumbel-pot",))
+        with multiprocessing.Pool(1, initializer=os.environ.__setitem__,
+                                  initargs=("CURETAIL_THREADS", "2")) as pool:
+            nested = pool.apply(run_scenario, (spec, ("gumbel-pot",)))
+        assert [s.label for s in nested] == [s.label for s in direct]
+        for a, b in zip(direct, nested):
+            assert_array_equal(a.estimates, b.estimates)
+            assert_array_equal(a.rep_indices, b.rep_indices)
+            assert a.failures == b.failures
+            assert a.summary == b.summary
+
     def test_benchmark_estimates_match_direct_evaluation(self):
-        from curetail import km_fit, order_sample, p_benchmark
+        # any replication regenerates in isolation: each summary value is
+        # one fit of its own stream, and so is each failure
+        from curetail import ESTIMATOR_NAMES, fit_estimate, km_fit, order_sample
 
         spec = scenario_spec(4, n=70, reps=3, p=0.6, seed=31)
-        out = run_scenario(spec, ("pn",))
-        pn = out[0]
-        for r, value in zip(pn.rep_indices, pn.estimates):
-            o = order_sample(sample_scenario(spec, int(r)))
-            assert value == p_benchmark(km_fit(o), o)
+        out = run_scenario(spec, ESTIMATOR_NAMES)
+        assert [s.label for s in out] == list(ESTIMATOR_NAMES)
+        assert any(s.failures for s in out)
+        for summ in out:
+            values = {}
+            for r in range(spec.reps):
+                o = order_sample(sample_scenario(spec, r))
+                try:
+                    values[r] = fit_estimate(summ.label, o, km_fit(o), spec.fit_config())
+                except CuretailError:
+                    pass
+            assert summ.rep_indices.tolist() == list(values)
+            assert summ.estimates.tolist() == list(values.values())
+            assert summ.failures == spec.reps - len(values)
