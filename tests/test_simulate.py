@@ -243,9 +243,12 @@ class TestRunScenario:
         with pytest.raises(ValidationError):
             run_scenario(spec, ("median-of-means",))
 
-    def test_every_fit_of_a_run_shares_one_config(self, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_every_fit_of_a_run_shares_one_config(self, monkeypatch, threads):
+        # a CURETAIL_THREADS left in the environment changes nothing
         import curetail.simulate as sim
 
+        monkeypatch.setenv("CURETAIL_THREADS", threads)
         seen = []
         real = sim.fit_estimate
 
