@@ -35,7 +35,7 @@ from .plotfit import (
     minimize_on_interval,
     profile_levels,
 )
-from .survival import KaplanMeierCurve, OrderedSample, km_eval, km_fit, top_tail
+from .survival import KaplanMeierCurve, OrderedSample, top_tail
 from .transforms import PlottingModel
 
 __all__ = ["PotDomain", "PotFit", "pot_loss", "pot_fit", "pot_gof_series"]
@@ -57,9 +57,11 @@ class PotFit:
     ``pi_hat`` is the cure level of the conditional law above the
     threshold, ``p_k`` the estimated probability of exceeding the
     threshold at all, and ``p_hat`` the recovered unconditional cure
-    fraction, clipped into [0, 1] with ``clipped`` recording whether the
-    clip fired.  For the Frechet domain ``scale_hat`` estimates the
-    extreme-value index of the susceptible tail.
+    fraction ``1 - (1 - pi_hat) p_k``.  With pi_hat in (0, 1] and p_k in
+    [0, 1] it cannot leave [0, 1], in floating point too, so ``clipped`` is
+    always false; it stays for the key of the fit's JSON record.  For the
+    Frechet domain ``scale_hat`` estimates the extreme-value index of the
+    susceptible tail.
     """
 
     scale_hat: float
@@ -97,10 +99,7 @@ def _exceedance_curve(tail, domain):
     both domains."""
     if not isinstance(domain, PotDomain):
         raise ValidationError(f"unknown exceedance domain {domain!r}")
-    e = tail.excesses(log_scale=domain is PotDomain.FRECHET)
-    # the top k are sorted with events first, and stay so with fewer events
-    top = OrderedSample(tail.times, tail.exceedance_events())
-    return e, km_eval(km_fit(top), tail.times)
+    return tail.excesses(log_scale=domain is PotDomain.FRECHET), tail.exceedance_curve()
 
 
 def pot_fit(
@@ -140,10 +139,9 @@ def pot_fit(
         scale = math.nan
     elif not boundary and not (math.isfinite(scale) and scale > 0.0):
         raise DegenerateExceedancesError("exceedance fit collapsed to a non-positive scale")
-    p_raw = 1.0 - (1.0 - pi_hat) * tail.p_k
-    clipped = not (0.0 <= p_raw <= 1.0)
-    p_hat = min(max(p_raw, 0.0), 1.0)
-    return PotFit(scale, pi_hat, p_hat, tail.p_k, loss, config.k, clipped, skipped, boundary)
+    p_hat = 1.0 - (1.0 - pi_hat) * tail.p_k
+    return PotFit(scale, pi_hat, p_hat, tail.p_k, loss, config.k, skipped_terms=skipped,
+                  boundary=boundary)
 
 
 def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:

@@ -244,14 +244,15 @@ def _summary_stats(values: np.ndarray, p_true: float) -> dict:
 def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSummary]:
     """Run every replication in process and summarize each requested estimator.
 
-    The benchmark ``pn`` is always appended when not requested.  Failed
-    fits are excluded from the summaries and counted per estimator.  The
-    result depends only on the arguments: replication r is fitted on its
-    own stream (seed, r) with the run's one ``FitConfig``, and no
-    environment variable is read and no child process started, so a
-    study spreads over CPUs by running one process per scenario cell.
+    ``estimators`` is one name or an iterable of names; the benchmark
+    ``pn`` is always appended when not requested.  Failed fits are
+    excluded from the summaries and counted per estimator.  The result
+    depends only on the arguments: replication r is fitted on its own
+    stream (seed, r) with the run's one ``FitConfig``, and no environment
+    variable is read and no child process started, so a study spreads
+    over CPUs by running one process per scenario cell.
     """
-    names = list(dict.fromkeys(estimators))
+    names = list(dict.fromkeys((estimators,) if isinstance(estimators, str) else estimators))
     for name in names:
         check_name(name)
     if "pn" not in names:

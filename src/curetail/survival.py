@@ -197,7 +197,8 @@ class TopTail:
     ``f_top`` and ``f_thr`` are the product-limit curve at ``times`` and at
     the threshold, ``p_k = 1 - f_thr`` the estimated probability of
     exceeding the threshold, and ``p_n`` the curve at the largest time, the
-    benchmark estimate.
+    benchmark estimate.  ``exceedance_curve()`` is the product-limit curve
+    of the top k alone at ``times``, the curve the exceedance fits read.
     """
 
     k: int
@@ -213,9 +214,12 @@ class TopTail:
         """Excesses of ``times`` over the threshold; see :func:`exceedances`."""
         return _excesses(self.threshold, self.times, log_scale)
 
-    def exceedance_events(self) -> np.ndarray:
-        """``events`` as exceedance indicators; see :func:`exceedances`."""
-        return _exceedance_events(self.threshold, self.times, self.events)
+    def exceedance_curve(self) -> np.ndarray:
+        """The product-limit curve of the top k alone at ``times``, with an
+        event at the threshold time censored as in :func:`exceedances`."""
+        events = _exceedance_events(self.threshold, self.times, self.events)
+        # the top k are sorted with events first, and stay so with fewer events
+        return km_eval(km_fit(OrderedSample(self.times, events)), self.times)
 
 
 def _top(ordered: OrderedSample, k: int, least: int):
@@ -244,9 +248,10 @@ def top_tail(ordered: OrderedSample, curve: KaplanMeierCurve, k: int) -> TopTail
     """The tail record of ``ordered`` for k in [2, n - 1], with ``curve``
     its product-limit curve."""
     threshold, times, events = _top(ordered, k, 2)
-    f_thr = km_eval(curve, threshold)
-    return TopTail(int(k), threshold, times, events, _frozen(km_eval(curve, times)), f_thr,
-                   1.0 - f_thr, p_benchmark(curve, ordered))
+    # one lookup at the threshold and the top k; the last of them is p_n
+    f = _frozen(km_eval(curve, ordered.sorted_times[ordered.n - k - 1:]))
+    f_thr = float(f[0])
+    return TopTail(int(k), threshold, times, events, f[1:], f_thr, 1.0 - f_thr, float(f[-1]))
 
 
 def p_benchmark(curve: KaplanMeierCurve, ordered: OrderedSample) -> float:

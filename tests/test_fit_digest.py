@@ -1,0 +1,42 @@
+"""``tools/fit_digest.py``, the bit-identity check over every fit output.
+
+The tool is not part of the package, so the test loads the file by path,
+as ``tests/test_code_lines.py`` loads the code-line count.
+"""
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+FIT_DIGEST = Path(__file__).resolve().parents[1] / "tools" / "fit_digest.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("fit_digest", FIT_DIGEST)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_prints_one_digest_per_family_and_repeats_itself(tool, capsys):
+    outputs = []
+    for _ in range(2):
+        assert tool.main(["--samples", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    rows = [line.split() for line in outputs[0].splitlines()]
+    assert [family for family, _ in rows] == list(tool.FAMILIES)
+    assert all(len(digest) == 64 for _, digest in rows)
+    assert outputs[1] == outputs[0]
+
+
+def test_every_family_gets_lines(tool):
+    # an empty family would hash to the same digest on any code
+    families = {family for family, _ in tool.lines(3, 2024)}
+    assert families == set(tool.FAMILIES)
+
+
+def test_floats_are_hashed_to_the_last_bit(tool):
+    assert tool.canon(0.1) != tool.canon(math.nextafter(0.1, 1.0))
+    assert tool.canon(-0.0) != tool.canon(0.0)

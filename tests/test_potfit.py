@@ -168,8 +168,6 @@ class TestPotFit:
         for _ in range(10):
             o, c = prepared(rng, n=200, p=0.8)
             fit = pot_fit(o, c, PotDomain.GUMBEL, FitConfig(k=80))
-            if fit.clipped:
-                continue
             lhs = (1.0 - fit.pi_hat) * fit.p_k
             assert abs(lhs - (1.0 - fit.p_hat)) <= 1e-12
 

@@ -16,6 +16,8 @@ from curetail import (
     PlottingModel,
     PotDomain,
     SurvivalSample,
+    exceedances,
+    km_eval,
     km_fit,
     order_sample,
     p_benchmark,
@@ -24,6 +26,7 @@ from curetail import (
     pp_fit,
     pp_loss,
 )
+from curetail.survival import top_tail
 
 MODELS = (*PlottingModel, *PotDomain)
 
@@ -79,6 +82,36 @@ def test_p_hat_lies_between_benchmark_and_one(case):
         # the exceedance fit recovers p from pi, which may round below p_n
         slack = 1e-12 if isinstance(model, PotDomain) else 0.0
         assert p_n - slack <= fit.p_hat <= 1.0, (model, fit)
+
+
+@settings(max_examples=60)
+@given(samples())
+def test_tail_record_reads_the_curve_as_its_definitions(case):
+    # one lookup gives f_thr, f_top and p_n, bit for bit as three would;
+    # the exceedance curve is that of the independent route, exceedances
+    sample, k, _ = case
+    ordered = order_sample(sample)
+    curve = km_fit(ordered)
+    tail = top_tail(ordered, curve, k)
+    assert tail.f_thr.hex() == km_eval(curve, tail.threshold).hex()
+    assert tail.f_top.tobytes() == km_eval(curve, tail.times).tobytes()
+    assert tail.p_n.hex() == p_benchmark(curve, ordered).hex()
+    exc = exceedances(ordered, k)
+    assert tail.exceedance_curve().tobytes() == km_eval(km_fit(exc), exc.times).tobytes()
+
+
+@settings(max_examples=60)
+@given(samples(), st.sampled_from([None, 0.0]))
+def test_exceedance_fits_recover_p_without_a_clip(case, lam):
+    # pi_hat in (0, 1] and p_k in [0, 1] keep 1 - (1 - pi_hat) p_k in [0, 1]
+    sample, k, _ = case
+    out, _ = fits(sample, k, lam)
+    for domain in PotDomain:
+        fit = out[domain]
+        if isinstance(fit, type):
+            continue
+        assert fit.p_hat == 1.0 - (1.0 - fit.pi_hat) * fit.p_k, (domain, fit)
+        assert 0.0 <= fit.p_hat <= 1.0 and not fit.clipped, (domain, fit)
 
 
 @settings(max_examples=60)

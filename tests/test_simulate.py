@@ -237,6 +237,15 @@ class TestRunScenario:
         spec = scenario_spec(2, n=60, reps=2, p=0.8, seed=7)
         out = run_scenario(spec, ("pareto", "pareto"))
         assert [s.label for s in out] == ["pareto", "pn"]
+        # a bare name is one name, not a string of one-letter names
+        bare = run_scenario(spec, "gumbel-pot")
+        listed = run_scenario(spec, ("gumbel-pot",))
+        assert [s.label for s in bare] == ["gumbel-pot", "pn"]
+        for got, want in zip(bare, listed, strict=True):
+            assert (got.label, got.failures, got.summary) == (want.label, want.failures,
+                                                              want.summary)
+            assert_array_equal(got.estimates, want.estimates)
+            assert_array_equal(got.rep_indices, want.rep_indices)
 
     def test_unknown_estimator(self):
         spec = scenario_spec(2, n=60, reps=1, p=0.8, seed=7)
