@@ -365,53 +365,63 @@ def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int,
     return points
 
 
-def _golden_min(fun, a: float, b: float, xtol: float, width: int = 1):
+def _values_at(call, i: int) -> tuple:
+    """Entry ``i`` of each array of one objective call, as Python scalars."""
+    return tuple(v[i].item() for v in call)
+
+
+def _golden_min(fun, a: float, b: float, xtol: float, width: int):
     """Golden-section minimizer biased toward the left end under ties.
 
-    ``fun`` maps a 1-d array of points to the array of their values, and
-    must give a point the same value whatever else shares its call.  The
-    first inner pair is one call of 2 points.  After that, each call
-    evaluates the whole tree of points that the next ``depth`` steps can
-    reach, ``2**depth - 1 <= width`` of them (``depth`` at least 1), and
-    the steps are then replayed against those values exactly as a
-    one-point-per-call search takes them: same points, same ``fc <= fd``
-    tie rule, same 200-step cap.  A replayed point missing from its batch
-    raises ``KeyError``.  ``width=1`` is the plain sequential search.  A
-    wider call saves calls but evaluates points on branches the search
-    does not take: a tree of ``2**depth - 1`` points serves ``depth``
-    steps.
+    ``fun`` maps a 1-d array of points to a tuple of arrays of their
+    values, the quantity to minimize first, and must give a point the same
+    values whatever else shares its call.  The first inner pair is one
+    call of 2 points.  After that, each call evaluates the whole tree of
+    points that the next ``depth`` steps can reach, ``2**depth - 1 <=
+    width`` of them (``depth`` at least 1), and the steps are then replayed
+    against those values exactly as a one-point-per-call search takes
+    them: same points, same ``fc <= fd`` tie rule, same 200-step cap.  A
+    replayed point missing from its batch raises ``KeyError``.  ``width=1``
+    is the plain sequential search.  A wider call saves calls but evaluates
+    points on branches the search does not take: a tree of ``2**depth - 1``
+    points serves ``depth`` steps.
+
+    Returns ``(x, values)``: the best point the search took, the first of
+    equal values winning, and every entry of ``fun``'s tuple at it, read
+    from the call that evaluated it.
     """
     depth = max(1, (width + 1).bit_length() - 1)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = (float(v) for v in fun(np.array([c, d])))
-    if fc <= fd:
-        best_x, best_f = c, fc
-    else:
-        best_x, best_f = d, fd
+    call = fun(np.array([c, d]))
+    fc, fd = call[0].tolist()
+    # (value, point, call, index in the call) of the best point so far
+    best = (fc, c, call, 0) if fc <= fd else (fd, d, call, 1)
     for step in range(200):
         if b - a <= xtol:
             break
         if step % depth == 0:
             points = _golden_tree(a, b, c, d, fc <= fd, min(depth, 200 - step), xtol)
-            values = dict(zip(points, np.asarray(fun(np.array(points)), dtype=float).tolist()))
+            call = fun(np.array(points))
+            found = {x: (i, f) for i, (x, f) in enumerate(zip(points, call[0].tolist()))}
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = values[c]
-            if fc < best_f:
-                best_x, best_f = c, fc
+            i, fc = found[c]
+            if fc < best[0]:
+                best = (fc, c, call, i)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = values[d]
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+            i, fd = found[d]
+            if fd < best[0]:
+                best = (fd, d, call, i)
+    _, x, call, i = best
+    return x, _values_at(call, i)
 
 
 def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol: float,
-                         *, width: int = 1):
+                         *, width: int):
     """Dense grid over (lower, upper] followed by golden-section refinement.
 
     ``fun`` maps a 1-d array of arguments to a tuple of arrays of their
@@ -419,9 +429,9 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     ``profile_levels`` does; a point's values must not depend on the other
     points of its call.
     Returns ``(x, values)``: the minimizing argument and the entries of
-    that tuple at it, as Python scalars read back from the call that
-    evaluated it.  A collapsed interval (``lower >= upper``) evaluates
-    ``upper`` alone and returns it.
+    that tuple at it, as Python scalars read from the call that evaluated
+    it.  A collapsed interval (``lower >= upper``) evaluates ``upper``
+    alone and returns it.
 
     The grid is one call with all ``resolution`` points plus the boundary
     notch, the first representable point past the open lower end.
@@ -434,46 +444,34 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     only points the search reads, so larger chunks just save the fixed
     cost per chunk, but a wider refinement call evaluates more points in
     vain (one call of ``2**depth - 1`` points serves ``depth`` steps).
-    The notch wins when it beats every refined basin.  Ties resolve to
-    the smallest argument.
+
+    The winner comes from one list of ``(x, values)`` candidates: the
+    grid's best point, one per refined basin, and the notch when it is
+    probed.  The least value wins, and a tie goes to the smallest
+    argument; a NaN value is neither less than nor equal to any other, so
+    a candidate with one neither replaces an earlier candidate nor is
+    replaced by a later one.
     """
-    calls = []
-
-    def minimized(xs):
-        values = fun(xs)
-        calls.append((xs, values))
-        return values[0]
-
-    def at(x):
-        for xs, values in calls:
-            hit = np.flatnonzero(xs == x)
-            if hit.size:
-                return x, tuple(v[hit[0]].item() for v in values)
-
     if lower >= upper:
-        minimized(np.array([upper]))
-        return at(upper)
+        return upper, _values_at(fun(np.array([upper])), 0)
     grid = lower + (upper - lower) * np.arange(1, resolution + 1) / resolution
     notch = np.nextafter(lower, upper)
     probe = notch < upper
-    vals = np.asarray(minimized(np.append(grid, notch) if probe else grid), dtype=float)
-    vals, notch_f = vals[:resolution], float(vals[-1])
+    call = fun(np.append(grid, notch) if probe else grid)
+    vals = call[0][:resolution]
     # local minima of the sampled profile, endpoints included
-    lower_nb = np.r_[np.inf, vals[:-1]]
-    upper_nb = np.r_[vals[1:], np.inf]
-    locmin = np.flatnonzero((vals <= lower_nb) & (vals <= upper_nb))
+    padded = np.concatenate(([np.inf], vals, [np.inf]))
+    locmin = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]))
     order = locmin[np.argsort(vals[locmin], kind="stable")][:3]
-    best_x = float(grid[int(np.argmin(vals))])
-    best_f = float(vals.min())
+    best = int(np.argmin(vals))
+    candidates = [(float(grid[best]), _values_at(call, best))]
     for i in order:
         a = grid[i - 1] if i > 0 else lower + (upper - lower) * 1e-12
         b = grid[i + 1] if i < resolution - 1 else upper
-        x, f = _golden_min(minimized, float(a), float(b), xtol, width)
-        if f < best_f or (f == best_f and x < best_x):
-            best_x, best_f = x, f
-    if probe and (notch_f < best_f or (notch_f == best_f and notch < best_x)):
-        best_x = float(notch)
-    return at(best_x)
+        candidates.append(_golden_min(fun, float(a), float(b), xtol, width))
+    if probe:
+        candidates.append((float(notch), _values_at(call, resolution)))
+    return min(candidates, key=lambda c: (c[1][0], c[0]))
 
 
 def _kept_rows(model, f, level, f_thr=None):

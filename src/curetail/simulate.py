@@ -12,7 +12,8 @@ regenerated in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -202,7 +203,8 @@ class ReplicationSummary:
     ``estimates`` holds the successful replications only;
     ``rep_indices`` names their replication numbers, ``failures`` counts
     the discarded ones.  ``squared_errors`` and ``biases`` are taken
-    against the true p of the scenario.
+    against the true p of the scenario.  ``summary`` is computed from
+    ``estimates`` and ``squared_errors`` when it is first read.
     """
 
     label: str
@@ -211,7 +213,22 @@ class ReplicationSummary:
     squared_errors: np.ndarray
     biases: np.ndarray
     failures: int
-    summary: dict = field(compare=False)
+
+    # cached_property writes the instance __dict__ directly, so it works
+    # on a frozen dataclass, whose __setattr__ refuses every assignment
+    @cached_property
+    def summary(self) -> dict:
+        if self.estimates.size == 0:
+            return {"mean": math.nan, "median": math.nan, "q25": math.nan,
+                    "q75": math.nan, "rmse": math.nan}
+        q25, q75 = np.quantile(self.estimates, [0.25, 0.75]).tolist()
+        return {
+            "mean": float(np.mean(self.estimates)),
+            "median": float(np.median(self.estimates)),
+            "q25": q25,
+            "q75": q75,
+            "rmse": float(np.sqrt(np.mean(self.squared_errors))),
+        }
 
 
 def _fit_one(spec: ScenarioSpec, names: tuple, config: FitConfig, rep_index: int) -> dict:
@@ -225,20 +242,6 @@ def _fit_one(spec: ScenarioSpec, names: tuple, config: FitConfig, rep_index: int
         except CuretailError:
             out[name] = None
     return out
-
-
-def _summary_stats(values: np.ndarray, p_true: float) -> dict:
-    if values.size == 0:
-        return {"mean": math.nan, "median": math.nan, "q25": math.nan,
-                "q75": math.nan, "rmse": math.nan}
-    q25, q75 = np.quantile(values, [0.25, 0.75]).tolist()
-    return {
-        "mean": float(np.mean(values)),
-        "median": float(np.median(values)),
-        "q25": q25,
-        "q75": q75,
-        "rmse": float(np.sqrt(np.mean((values - p_true) ** 2))),
-    }
 
 
 def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSummary]:
@@ -277,7 +280,6 @@ def run_scenario(spec: ScenarioSpec, estimators=("pn",)) -> list[ReplicationSumm
                 squared_errors=(values - spec.p) ** 2,
                 biases=values - spec.p,
                 failures=spec.reps - values.size,
-                summary=_summary_stats(values, spec.p),
             )
         )
     return summaries

@@ -40,3 +40,29 @@ def test_every_family_gets_lines(tool):
 def test_floats_are_hashed_to_the_last_bit(tool):
     assert tool.canon(0.1) != tool.canon(math.nextafter(0.1, 1.0))
     assert tool.canon(-0.0) != tool.canon(0.0)
+
+
+def test_chunk_size_moves_the_calls_and_no_output(tool, monkeypatch, capsys):
+    # the refinement's call width follows the chunk size, and no output may
+    from curetail import plotfit
+
+    def digests():
+        assert tool.main(["--samples", "3"]) == 0
+        return dict(line.split() for line in capsys.readouterr().out.splitlines())
+
+    default = digests()
+    monkeypatch.setattr(plotfit, "PROFILE_CHUNK_ELEMENTS", 64)
+    narrow = digests()
+    assert narrow.pop("calls") != default.pop("calls")
+    assert narrow == default
+
+
+def test_each_fit_module_gets_its_profile_back(tool):
+    from curetail import plotfit, potfit
+
+    kernels = (plotfit.profile_levels, potfit.profile_levels)
+    lines = tool.lines(3, 2024)
+    next(lines)
+    assert plotfit.profile_levels is not kernels[0] and potfit.profile_levels is not kernels[1]
+    lines.close()
+    assert plotfit.profile_levels is kernels[0] and potfit.profile_levels is kernels[1]

@@ -688,9 +688,9 @@ def test_speculative_golden_follows_one_point_search(width, name, a, b, xtol):
 
     def recording(x):
         calls.append(np.array(x))
-        return f(x)
+        return (f(x),)
 
-    x, fx = _golden_min(recording, a, b, xtol, width)
+    x, (fx,) = _golden_min(recording, a, b, xtol, width)
     assert (x, fx) == (want_x, want_f)
     evaluated = set(np.concatenate(calls).tolist())
     assert evaluated >= set(want_points)
@@ -715,6 +715,61 @@ def test_notch_is_evaluated_in_the_grid_call():
     assert x == notch and fx == notch - lower
     assert calls[0].size == resolution + 1 and calls[0][-1] == notch
     assert all(notch not in c for c in calls[1:])
+
+
+def plateau_profile(centres, half_width, zero_below=-math.inf):
+    """A synthetic profile ``(loss, level, count)`` whose loss is exactly 0
+    on a plateau of ``half_width`` around each centre and below
+    ``zero_below``, and rises linearly elsewhere; its calls are recorded."""
+    calls = []
+
+    def profile(x):
+        calls.append(np.array(x))
+        loss = np.min([np.maximum(np.abs(x - c) - half_width, 0.0) for c in centres], axis=0)
+        return np.where(x < zero_below, 0.0, loss), x.copy(), np.floor(x * 1e6).astype(np.int64)
+
+    return profile, calls
+
+
+def assert_read_at_its_own_level(x, values):
+    loss, level, count = values
+    assert level == x
+    assert type(count) is int and count == math.floor(x * 1e6)
+
+
+def test_equal_refined_basins_resolve_to_the_left_one():
+    # the grid sits closer to the right plateau, so its basin is refined
+    # first; both refinements reach the plateau's loss of exactly 0
+    profile, calls = plateau_profile((0.3, 0.685), 1e-3)
+    x, values = minimize_on_interval(profile, 0.0, 1.0, 16, 1e-10, width=7)
+    refined = np.concatenate(calls[1:])
+    assert 0.625 <= calls[1].min() and calls[1].max() <= 0.75
+    for centre in (0.3, 0.685):
+        assert np.any(np.abs(refined - centre) <= 1e-3)
+    assert abs(x - 0.3) <= 1e-3 and values[0] == 0.0
+    assert_read_at_its_own_level(x, values)
+
+
+def test_notch_wins_a_tie_with_the_best_refined_point():
+    lower = 0.25
+    notch = np.nextafter(lower, 1.0)
+    profile, calls = plateau_profile((0.6,), 1e-3, zero_below=0.26)
+    x, values = minimize_on_interval(profile, lower, 1.0, 16, 1e-10, width=7)
+    refined = np.concatenate(calls[1:])
+    assert np.any(np.abs(refined - 0.6) <= 1e-3)
+    assert x == notch and values[0] == 0.0
+    assert_read_at_its_own_level(x, values)
+
+
+def test_values_are_read_from_the_call_that_made_the_winner():
+    # the search enters the plateau long before it stops, and later points
+    # on the plateau tie rather than beat the first one
+    profile, calls = plateau_profile((0.6,), 1e-3)
+    x, values = minimize_on_interval(profile, 0.0, 1.0, 16, 1e-10, width=7)
+    made = [j for j, c in enumerate(calls) if x in c]
+    assert made and 0 < made[0] < len(calls) - 1 and x not in calls[-1]
+    assert values[0] == 0.0
+    assert_read_at_its_own_level(x, values)
 
 
 def test_collapsed_interval_evaluates_the_upper_end_alone():

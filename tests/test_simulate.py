@@ -233,6 +233,19 @@ class TestRunScenario:
             assert summ.failures == 6 - summ.estimates.size
             assert summ.rep_indices.size == summ.estimates.size
 
+    def test_summary_is_computed_when_first_read(self):
+        spec = scenario_spec(2, n=80, reps=6, p=0.8, seed=7)
+        out = run_scenario(spec, ("gumbel-pot", "pareto"))
+        assert all("summary" not in vars(summ) for summ in out)
+        for summ in out:
+            values = summ.estimates
+            q25, q75 = np.quantile(values, [0.25, 0.75]).tolist()
+            want = {"mean": float(np.mean(values)), "median": float(np.median(values)),
+                    "q25": q25, "q75": q75,
+                    "rmse": float(np.sqrt(np.mean((values - spec.p) ** 2)))}
+            assert summ.summary == want
+            assert vars(summ)["summary"] is summ.summary
+
     def test_benchmark_always_present_and_dedup(self):
         spec = scenario_spec(2, n=60, reps=2, p=0.8, seed=7)
         out = run_scenario(spec, ("pareto", "pareto"))

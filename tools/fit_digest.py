@@ -7,15 +7,20 @@ against two source trees and diffing what it prints:
     PYTHONPATH=<new>/src python tools/fit_digest.py > new.txt
     diff old.txt new.txt
 
-It prints one ``<family> <sha256>`` line per output family:
+The tool itself must be the same on both sides: run one copy of it, and
+point ``PYTHONPATH`` at each tree in turn.  It prints one ``<family>
+<sha256>`` line per output family:
 
 * each of the five fits, every field of its record or the class name of
   the error it raised;
+* ``calls``: the levels of every profile call each fit made, in order;
 * ``loss``: the public loss at each fit's estimate;
 * ``series``: the plot series at each fit's estimate;
 * ``fit_fields``: the fields of each fit's JSON record;
 * ``stress_sweep``: the rows of a stress sweep per estimator;
-* ``run_scenario``: the summaries of scenarios 3 and 7 at n = 200, 4 reps.
+* ``run_scenario``: the summaries of scenarios 3 and 7 at n = 200, 4 reps,
+  each by its named attributes, so a field that becomes a property hashes
+  as before.
 
 The pool holds grid-tied and continuous samples with a censored or an
 uncensored largest observation, n from 8 to 400; each is fitted at k = 5,
@@ -25,6 +30,7 @@ through ``float.hex``, so any change in the last bit shows.
     python tools/fit_digest.py [--samples N] [--seed S]
 """
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import sys
@@ -37,6 +43,7 @@ from curetail import (
     FitConfig,
     PlottingModel,
     PotDomain,
+    ReplicationSummary,
     SurvivalSample,
     gof_series,
     km_fit,
@@ -50,6 +57,7 @@ from curetail import (
     scenario_spec,
     stress_sweep,
 )
+from curetail import plotfit, potfit
 from curetail.estimators import ESTIMATOR_NAMES, fit_fields
 
 MODELS = {
@@ -59,7 +67,9 @@ MODELS = {
     "gumbel-pot": PotDomain.GUMBEL,
     "frechet-pot": PotDomain.FRECHET,
 }
-FAMILIES = (*MODELS, "loss", "series", "fit_fields", "stress_sweep", "run_scenario")
+FAMILIES = (*MODELS, "calls", "loss", "series", "fit_fields", "stress_sweep", "run_scenario")
+SUMMARY_ATTRIBUTES = ("label", "estimates", "rep_indices", "squared_errors", "biases",
+                      "failures", "summary")
 STRESS_FRACTIONS = (0.0, 0.05, 0.1)
 
 
@@ -79,6 +89,9 @@ def canon(value) -> str:
         return "[" + ",".join(canon(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ",".join(f"{key}:{canon(v)}" for key, v in value.items()) + "}"
+    if isinstance(value, ReplicationSummary):
+        return "ReplicationSummary" + canon(
+            {name: getattr(value, name) for name in SUMMARY_ATTRIBUTES})
     if dataclasses.is_dataclass(value):
         return type(value).__name__ + canon(
             {f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
@@ -110,14 +123,40 @@ def pool(size: int, seed: int):
         yield SurvivalSample(times, events), int(rng.integers(2, n))
 
 
-def fit_lines(sample, k: int, lam):
-    """(family, text) lines of the five fits of one sample, k and lam."""
+@contextlib.contextmanager
+def recorded_levels():
+    """Record the levels of every profile call that either fit module makes
+    in the block, into the list it yields; both modules get their
+    ``profile_levels`` back on the way out."""
+    calls = []
+    kernel = plotfit.profile_levels
+
+    def recording(*args):
+        profile = kernel(*args)
+
+        def recorded(levels):
+            calls.append(np.array(levels, dtype=float))
+            return profile(levels)
+
+        return recorded
+
+    try:
+        plotfit.profile_levels = potfit.profile_levels = recording
+        yield calls
+    finally:
+        plotfit.profile_levels = potfit.profile_levels = kernel
+
+
+def fit_lines(sample, k: int, lam, calls: list):
+    """(family, text) lines of the five fits of one sample, k and lam;
+    ``calls`` is the list that ``recorded_levels`` fills."""
     ordered = order_sample(sample)
     curve = km_fit(ordered)
     config = FitConfig(k=k, lam=lam)
     resolved = config.resolved_lam(ordered.n)
     head = f"n={ordered.n} k={k} lam={canon(lam)} "
     for name, model in MODELS.items():
+        calls.clear()
         try:
             if isinstance(model, PotDomain):
                 fit = pot_fit(ordered, curve, model, config)
@@ -132,8 +171,10 @@ def fit_lines(sample, k: int, lam):
                 series = outcome(gof_series, model, ordered, curve, k, fit.p_hat)
         except CuretailError as exc:
             yield name, head + type(exc).__name__
+            yield "calls", head + name + " " + canon(calls)
             continue
         yield name, head + canon(fit)
+        yield "calls", head + name + " " + canon(calls)
         yield "loss", head + name + " " + loss
         yield "series", head + name + " " + series
         yield "fit_fields", head + outcome(fit_fields, name, ordered, curve, config)
@@ -141,15 +182,16 @@ def fit_lines(sample, k: int, lam):
 
 def lines(size: int, seed: int):
     """(family, text) lines over the whole pool and the two scenario runs."""
-    for sample, seeded_k in pool(size, seed):
-        n = sample.n
-        for k in (5, seeded_k, n - 1):
-            for lam in (None, 0.0):
-                yield from fit_lines(sample, k, lam)
-        for k in (seeded_k, n - 1):
-            for name in ESTIMATOR_NAMES:
-                yield "stress_sweep", f"n={n} k={k} {name} " + outcome(
-                    stress_sweep, sample, STRESS_FRACTIONS, name, FitConfig(k=k))
+    with recorded_levels() as calls:
+        for sample, seeded_k in pool(size, seed):
+            n = sample.n
+            for k in (5, seeded_k, n - 1):
+                for lam in (None, 0.0):
+                    yield from fit_lines(sample, k, lam, calls)
+            for k in (seeded_k, n - 1):
+                for name in ESTIMATOR_NAMES:
+                    yield "stress_sweep", f"n={n} k={k} {name} " + outcome(
+                        stress_sweep, sample, STRESS_FRACTIONS, name, FitConfig(k=k))
     for scenario in (3, 7):
         spec = scenario_spec(scenario, n=200, reps=4, p=0.8, seed=seed)
         yield "run_scenario", f"{scenario} " + outcome(run_scenario, spec, ESTIMATOR_NAMES)
