@@ -732,7 +732,7 @@ def plateau_profile(centres, half_width, zero_below=-math.inf):
 
 
 def assert_read_at_its_own_level(x, values):
-    loss, level, count = values
+    _, level, count = values
     assert level == x
     assert type(count) is int and count == math.floor(x * 1e6)
 
