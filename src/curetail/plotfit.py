@@ -25,7 +25,7 @@ from .errors import (
     check_real,
 )
 from .survival import KaplanMeierCurve, OrderedSample, top_tail
-from .transforms import PlottingModel, _s_values
+from .transforms import PlottingModel, _s_values, _signed_s_values
 
 __all__ = [
     "FitConfig",
@@ -45,20 +45,26 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Longest dot product that OpenBLAS runs on one thread whatever its count
 _DOT_BLOCK = 10_000
 
-# Most (level, term) elements one grid chunk of profile_levels, or one
-# golden-section refinement call, holds; a grid chunk takes at least sixteen
-# levels and a refinement call at least four (``_chunk_rows``,
+# Most (level, term) elements one grid chunk of profile_levels holds, and
+# most that one golden-section refinement call holds; a grid chunk takes at
+# least sixteen levels and a refinement call at least four (``_chunk_rows``,
 # ``_golden_width``).  A chunk writes into its thread's ``_Workspace``,
 # which the thread keeps between fits at the last size it needed, and
 # allocates nothing of its size.  So a larger chunk only saves the fixed
-# per-chunk cost (about 30-60 us for Pareto and Weibull rows, where one
-# level of 100 terms costs about as much as two).  A wider refinement call
-# also evaluates more tree points that the search never reads.  Measured in
-# process on mc-largek (k = 3999; 2-core Intel Xeon, numpy 2.4; 6 rounds of
-# 5 ops), per op: grid/refinement floors 16/4 took 120 ms, 8/4 took 123 ms,
-# 4/4 took 135 ms and 16/16 took 139 ms.  The sixteen-level floor cuts a
-# fit's grid from 129 chunks to 33 and moves no chunk at k <= 512.
-PROFILE_CHUNK_ELEMENTS = 8192
+# per-chunk cost, about 20 us at k = 100, where a level costs about 0.4 us.
+# A wider refinement call saves calls too, but evaluates more tree points
+# that the search never reads: a tree of 2**depth - 1 points serves depth
+# steps.  So the two sizes differ.  Measured in process on mc-smallk (k =
+# 100; 2-core Intel Xeon, numpy 2.4, one BLAS thread; medians of 5 rounds
+# of 300 ops), CPU per op for grid/refinement sizes: 24 576/3 072 (chunks
+# of 245 levels, 15-point trees) 4.52 ms; 8 192 for both (chunks of 81
+# levels, 63-point trees) 5.06 ms; refinement 800, 3 200 or 6 400 (7-,
+# 31- or 63-point trees) 4.84, 4.77 and 4.96 ms; grid 8 192, 16 384,
+# 32 768 or 49 152 5.01, 4.86, 4.78 and 4.79 ms.  At k = 3999
+# (mc-largek) both floors apply, which measured best there: grid/refinement
+# floors 16/4 took 120 ms per op, 8/4 123 ms, 4/4 135 ms and 16/16 139 ms.
+PROFILE_CHUNK_ELEMENTS = 24_576
+REFINE_CALL_ELEMENTS = 3_072
 
 
 @dataclass(frozen=True)
@@ -175,15 +181,17 @@ def _distinct(values: np.ndarray, costly: bool = False):
 def _rowdot(a: np.ndarray, b: np.ndarray):
     """Row-wise dot products of two arrays that broadcast to (rows, k).
 
-    Every row is reduced on its own, as one (1, k) @ (k, 1) product, so a
-    row's sum does not depend on how many rows share the call; a
-    matrix-vector product sums rows in an order that does.  OpenBLAS
-    splits a dot product of more than ``_DOT_BLOCK`` terms across its
-    threads, so a longer row is summed block by block, left to right, and
-    its bits do not depend on the BLAS thread count either.
+    Every row is reduced on its own by ``np.vecdot``, the BLAS dot product
+    that a (1, k) @ (k, 1) matmul also runs, at about half its fixed cost
+    (0.7 against 1.3 us at 2 x 100); so a row's sum does not depend on how
+    many rows share the call, where a matrix-vector product sums rows in an
+    order that does.  OpenBLAS splits
+    a dot product of more than ``_DOT_BLOCK`` terms across its threads, so
+    a longer row is summed block by block, left to right, and its bits do
+    not depend on the BLAS thread count either.
     """
     if a.shape[-1] <= _DOT_BLOCK:
-        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+        return np.vecdot(a, b)
     total = _rowdot(a[..., :_DOT_BLOCK], b[..., :_DOT_BLOCK])
     for start in range(_DOT_BLOCK, a.shape[-1], _DOT_BLOCK):
         total += _rowdot(a[..., start:start + _DOT_BLOCK], b[..., start:start + _DOT_BLOCK])
@@ -197,7 +205,7 @@ def _chunk_rows(k: int) -> int:
 
 def _golden_width(k: int) -> int:
     """Most levels of ``k`` terms each that one refinement call evaluates."""
-    return max(4, PROFILE_CHUNK_ELEMENTS // k)
+    return max(4, REFINE_CALL_ELEMENTS // k)
 
 
 class _Workspace:
@@ -208,7 +216,7 @@ class _Workspace:
     A view is a C-contiguous row slice, so that a ufunc takes the same
     loop, and gives the same bits, as on a fresh array.  The thread that
     runs a fit owns the workspace (``_workspace``) and keeps the last
-    size's buffers between fits: 262 KB at k = 100, 2 MB at k = 3999 and
+    size's buffers between fits: 792 KB at k = 100, 2 MB at k = 3999 and
     about 5 MB after a fit at k = 10 000.  Fits on several threads never
     share one.
     """
@@ -283,38 +291,48 @@ def profile_levels(model, f, fixed, penalty, f_thr=None):
     f_dist, gather = _distinct(f, costly=model is PlottingModel.LOGNORMAL)
     f_cols = f_dist if f_thr is None else np.append(f_dist, f_thr)
     cols, size = f_cols.size, f_dist.size
+    # _signed_s_values gives w = -s but for Weibull.  Negation is exact, so
+    # the rows w_thr - w, and the slope and squared residuals of -fixed
+    # against w, are those of s to the bit
+    flip = model is not PlottingModel.WEIBULL
+    if f_thr is None and flip:
+        fixed = np.negative(fixed)
+    fixed_sxx = _rowdot(fixed, fixed)
 
     def profile(levels):
         levels = np.asarray(levels, dtype=float)
         work = _workspace(k)
         loss = penalty(levels)
-        slope = np.full(levels.size, math.nan)
-        kept = np.full(levels.size, k)
+        slope = np.empty(levels.size)
+        skipped = np.zeros(levels.size, dtype=int)
         for start in range(0, levels.size, work.rows):
             part = slice(start, start + work.rows)
             rows = levels[part].size
             args = np.divide(f_cols, levels[part, None], out=work.floats(2, rows, cols))
             np.subtract(1.0, args, out=args)
             ok = _admissible(model, args, work.mask(0, rows, cols))
-            keep = ok[:, :size]
-            if f_thr is not None and not ok[:, size].all():
-                keep &= ok[:, size:]
-            masked = not keep.all()
+            masked = not ok.all()
             if masked:
+                keep = ok[:, :size]
+                if f_thr is not None:
+                    keep &= ok[:, size:]
                 np.copyto(args, 0.5, where=np.logical_not(ok, out=work.mask(1, rows, cols)))
                 if gather is not None:
                     keep = keep.take(gather, axis=1, out=work.mask(1, rows, k), mode="clip")
-                kept[part] = np.count_nonzero(keep, axis=1)
-                if not kept[part].any():
+                kept = np.count_nonzero(keep, axis=1)
+                skipped[part] = k - kept
+                if not kept.any():
                     # e.g. Weibull and log-normal at F(threshold) = 0
+                    slope[part] = math.nan
                     continue
             scratch = None
             if model is PlottingModel.LOGNORMAL:
                 scratch = tuple(work.floats(i, rows, cols) for i in (0, 1, 3))
             # at t_thr == 1 (F(threshold) = 0) only Pareto keeps terms, and s = 0
-            w = _s_values(model, args, out=args, scratch=scratch)
+            w = _signed_s_values(model, args, out=args, scratch=scratch)
             if f_thr is not None:
-                w = np.subtract(w[:, :size], w[:, size:], out=work.floats(3, rows, size))
+                lhs, rhs = (w[:, size:], w[:, :size]) if flip else (w[:, :size], w[:, size:])
+                w = np.subtract(lhs, rhs, out=work.floats(3, rows, size))
             if gather is not None:
                 # take() keeps rows C-contiguous; w[:, gather] would not
                 out = work.floats(2 if f_thr is not None else 3, rows, k)
@@ -323,28 +341,32 @@ def profile_levels(model, f, fixed, penalty, f_thr=None):
             if masked:
                 x = _masked(x, keep, work.floats(0, rows, k))
                 y = _masked(y, keep, work.floats(1, rows, k))
-            sxx = _rowdot(x, x)
+            sxx = fixed_sxx if x is fixed else _rowdot(x, x)
             b = np.divide(_rowdot(x, y), sxx, out=np.zeros(rows), where=sxx != 0.0)
             # b * x goes over x itself when x is the masked copy in buffer 0
             r = np.multiply(b[:, None], x, out=work.floats(0, rows, k))
             np.subtract(y, r, out=r)
             loss[part] += _rowdot(r, r)
+            if masked:
+                b[kept == 0] = math.nan
             slope[part] = b
-        slope[kept == 0] = math.nan
-        return loss, slope, k - kept
+        return loss, slope, skipped
 
     return profile
 
 
-def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int, xtol: float):
-    """Every point the next ``steps`` golden-section steps can evaluate.
+def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int):
+    """Every point the next ``steps`` golden-section steps can evaluate, as a heap.
 
     The search sits at bracket (a, b) with inner points c < d, and ``left``
     is the outcome of ``fc <= fd`` that decides the next step.  Each step
     adds one point and the comparison of its value decides the step after,
-    so the points form a binary tree of at most ``2**steps - 1`` nodes,
-    computed here with the search's own expressions.  A branch ends where
-    the search would stop on ``xtol``.
+    so the points form a complete binary tree of ``2**steps - 1`` nodes,
+    computed here with the search's own expressions and listed level by
+    level: the point after node ``i`` is node ``2*i + 1`` when the next
+    ``fc <= fd`` holds and node ``2*i + 2`` when it does not.  The tree is
+    complete even past where the search would stop on its tolerance, so
+    that this layout holds.
     """
     if left:
         c_left = d - _INVPHI * (d - a)
@@ -355,8 +377,6 @@ def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int,
     for _ in range(steps - 1):
         grown = []
         for a, b, c, d in states:
-            if b - a <= xtol:
-                continue
             c_left = d - _INVPHI * (d - a)
             d_right = c + _INVPHI * (b - c)
             points += (c_left, d_right)
@@ -380,11 +400,12 @@ def _golden_min(fun, a: float, b: float, xtol: float, width: int):
     points that the next ``depth`` steps can reach, ``2**depth - 1 <=
     width`` of them (``depth`` at least 1), and the steps are then replayed
     against those values exactly as a one-point-per-call search takes
-    them: same points, same ``fc <= fd`` tie rule, same 200-step cap.  A
-    replayed point missing from its batch raises ``KeyError``.  ``width=1``
-    is the plain sequential search.  A wider call saves calls but evaluates
-    points on branches the search does not take: a tree of ``2**depth - 1``
-    points serves ``depth`` steps.
+    them: same points, same ``fc <= fd`` tie rule, same 200-step cap.  The
+    replay walks the tree's heap (``_golden_tree``) by index, from the root
+    to the child the comparison picks.  ``width=1`` is the plain sequential
+    search.  A wider call saves calls but evaluates points on branches the
+    search does not take: a tree of ``2**depth - 1`` points serves
+    ``depth`` steps.
 
     Returns ``(x, values)``: the best point the search took, the first of
     equal values winning, and every entry of ``fun``'s tuple at it, read
@@ -400,22 +421,25 @@ def _golden_min(fun, a: float, b: float, xtol: float, width: int):
     for step in range(200):
         if b - a <= xtol:
             break
+        left = fc <= fd
         if step % depth == 0:
-            points = _golden_tree(a, b, c, d, fc <= fd, min(depth, 200 - step), xtol)
-            call = fun(np.array(points))
-            found = {x: (i, f) for i, (x, f) in enumerate(zip(points, call[0].tolist()))}
-        if fc <= fd:
+            call = fun(np.array(_golden_tree(a, b, c, d, left, min(depth, 200 - step))))
+            values = call[0].tolist()
+            node = 0
+        else:
+            node = 2 * node + (1 if left else 2)
+        if left:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            i, fc = found[c]
+            fc = values[node]
             if fc < best[0]:
-                best = (fc, c, call, i)
+                best = (fc, c, call, node)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            i, fd = found[d]
+            fd = values[node]
             if fd < best[0]:
-                best = (fd, d, call, i)
+                best = (fd, d, call, node)
     _, x, call, i = best
     return x, _values_at(call, i)
 
@@ -438,12 +462,17 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     Refines around every local minimum of the grid profile (up to the three
     deepest) with ``_golden_min``, whose calls hold at most ``width``
     points after the first pair of each basin; both fits pass
-    ``_golden_width(k)``, at least four levels, while their grid call runs
-    in kernel chunks of ``_chunk_rows(k)``, at least sixteen.  The two
-    differ because they trade different costs: a grid chunk evaluates
-    only points the search reads, so larger chunks just save the fixed
-    cost per chunk, but a wider refinement call evaluates more points in
-    vain (one call of ``2**depth - 1`` points serves ``depth`` steps).
+    ``_golden_width(k)``, sized by ``REFINE_CALL_ELEMENTS`` and at least
+    four levels, while their grid call runs in kernel chunks of
+    ``_chunk_rows(k)``, sized by ``PROFILE_CHUNK_ELEMENTS`` and at least
+    sixteen levels.  The two differ because they trade different costs: a
+    grid chunk evaluates only points the search reads, so larger chunks
+    just save the fixed cost per chunk, but a wider refinement call
+    evaluates more points in vain (one call of ``2**depth - 1`` points
+    serves ``depth`` steps).  At k = 100 that is chunks of 245 levels and
+    15-point trees, which took 9 % less CPU per mc-smallk op than 63-point
+    trees, 7 % less than 7-point and 5 % less than 31-point ones; at k =
+    3999, chunks of 16 levels and 3-point trees.
 
     The winner comes from one list of ``(x, values)`` candidates: the
     grid's best point, one per refined basin, and the notch when it is

@@ -178,9 +178,14 @@ def _s_values(model: PlottingModel, t: np.ndarray, out=None, scratch=None) -> np
     ``out`` when given, which may be ``t`` itself; ``out`` and ``scratch``
     are handed on as ``_norm_quantile`` takes them.
     """
+    s = _signed_s_values(model, t, out, scratch)
+    return s if model is PlottingModel.WEIBULL else np.negative(s, out=s)
+
+
+def _signed_s_values(model: PlottingModel, t: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """``_s_values`` without its last negation pass: log t and Phi^{-1}(t),
+    that is -s, for Pareto and the log-normal, and s itself for Weibull."""
     if model is PlottingModel.LOGNORMAL:
-        s = _norm_quantile(np.asarray(t, dtype=float), out, scratch)
-    else:
-        s = np.log(t, out=out)
-    np.negative(s, out=s)
-    return np.log(s, out=s) if model is PlottingModel.WEIBULL else s
+        return _norm_quantile(np.asarray(t, dtype=float), out, scratch)
+    s = np.log(t, out=out)
+    return np.log(np.negative(s, out=s), out=s) if model is PlottingModel.WEIBULL else s

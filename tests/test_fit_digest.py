@@ -43,7 +43,7 @@ def test_floats_are_hashed_to_the_last_bit(tool):
 
 
 def test_chunk_size_moves_the_calls_and_no_output(tool, monkeypatch, capsys):
-    # the refinement's call width follows the chunk size, and no output may
+    # the refinement's call width follows its own size constant, and no output may
     from curetail import plotfit
 
     def digests():
@@ -51,7 +51,7 @@ def test_chunk_size_moves_the_calls_and_no_output(tool, monkeypatch, capsys):
         return dict(line.split() for line in capsys.readouterr().out.splitlines())
 
     default = digests()
-    monkeypatch.setattr(plotfit, "PROFILE_CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(plotfit, "REFINE_CALL_ELEMENTS", 64)
     narrow = digests()
     assert narrow.pop("calls") != default.pop("calls")
     assert narrow == default

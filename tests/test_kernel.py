@@ -41,6 +41,7 @@ from curetail.plotfit import (
     _chunk_rows,
     _distinct,
     _golden_min,
+    _golden_tree,
     _rowdot,
     _workspace,
     minimize_on_interval,
@@ -286,6 +287,29 @@ def test_level_terms_rows_follow_the_definition(model, f_thr, repeated):
         assert_same_bits(slope, want_slope)
 
 
+def matmul_rows(a, b):
+    """Row dot products as one (1, k) @ (k, 1) matmul per row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+@pytest.mark.parametrize("k", (1, 26, 100, 3999, 10_000))
+def test_vecdot_rows_equal_matmul_rows(k):
+    # _rowdot's np.vecdot runs the BLAS dot product of the matmul form, at
+    # the BLAS thread count the process starts with; up to one grid chunk of
+    # rows, a 1-d row against 2-d rows as the plot fits' regressor is
+    rng = np.random.default_rng(k)
+    for rows in sorted({1, 2, 7, _chunk_rows(k)}):
+        a = rng.standard_normal((rows, k))
+        b = rng.standard_normal((rows, k)) * rng.uniform(0.0, 1e3, k)
+        for x, y in [(a, b), (a, a), (b[0], a), (a, b[0])]:
+            got = _rowdot(x, y)
+            assert_same_bits(got, matmul_rows(x, y))
+            assert_same_bits(got, np.vecdot(x, y))
+            i = rows // 2
+            pair = [v if v.ndim == 1 else v[i] for v in (x, y)]
+            assert_same_bits(_rowdot(*pair), got[i])
+
+
 def test_threshold_below_first_event():
     # every observation up to the threshold is censored, so F(threshold) = 0
     # and the threshold argument is exactly 1: Pareto keeps its terms with
@@ -391,11 +415,12 @@ def test_each_fit_makes_one_search_through_its_own_module(monkeypatch):
             assert counts == {plotfit.__name__: int(plot), potfit.__name__: int(not plot)}
 
 
-@pytest.mark.parametrize("n, k, widest", [(500, 100, 63), (4000, 3999, 3)])
+@pytest.mark.parametrize("n, k, widest", [(500, 100, 15), (4000, 3999, 3)])
 @pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
 def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, widest):
-    # the kernel is batch-invariant, so the chunk size may change the grid
-    # call's chunks and the refinement's call sizes but no estimate
+    # the kernel is batch-invariant, so the grid chunk size and the
+    # refinement's call size may change the grid call's chunks and the
+    # refinement's call sizes but no estimate
     if model in PLOT_TAILS:
         case = plot_case(model, k, seed=5000 + k, n=n)
 
@@ -427,26 +452,29 @@ def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, widest):
     monkeypatch.setattr(plotfit, "profile_levels", recording)
     monkeypatch.setattr(potfit, "profile_levels", recording)
     monkeypatch.setattr(plotfit, "_admissible", counting)
-    default = plotfit.PROFILE_CHUNK_ELEMENTS
+    defaults = plotfit.PROFILE_CHUNK_ELEMENTS, plotfit.REFINE_CALL_ELEMENTS
     results = set()
-    for elements in (k, 4096, default, 65536):
-        monkeypatch.setattr(plotfit, "PROFILE_CHUNK_ELEMENTS", elements)
-        sizes.clear()
-        chunks.clear()
-        result = fit()
-        assert not result.boundary
-        results.add(repr(result))
-        # one grid call of 512 levels and the notch, in chunks of at least
-        # sixteen levels; then the refinement: the first basin's first pair
-        # is one call of two levels, and every later call holds at most
-        # max(4, elements // k) levels, in one chunk
-        assert sizes[0] == 513
-        assert chunks[0] == -(-513 // max(16, elements // k))
-        assert sizes[1] == 2
-        assert all(size <= max(4, elements // k) for size in sizes[2:])
-        assert chunks[1:] == [1] * (len(sizes) - 1)
-        if elements == default:
-            assert max(sizes[1:]) == widest
+    for elements in (k, 4096, defaults[0], 65536):
+        for refine in (k, 1024, defaults[1], 65536):
+            monkeypatch.setattr(plotfit, "PROFILE_CHUNK_ELEMENTS", elements)
+            monkeypatch.setattr(plotfit, "REFINE_CALL_ELEMENTS", refine)
+            sizes.clear()
+            chunks.clear()
+            result = fit()
+            assert not result.boundary
+            results.add(repr(result))
+            # one grid call of 512 levels and the notch, in chunks of at
+            # least sixteen levels; then the refinement: the first basin's
+            # first pair is one call of two levels, and every later call
+            # holds at most max(4, refine // k) levels, in as few chunks
+            rows = max(16, elements // k)
+            assert sizes[0] == 513
+            assert sizes[1] == 2
+            assert all(size <= max(4, refine // k) for size in sizes[2:])
+            assert chunks == [-(-size // rows) for size in sizes]
+            if (elements, refine) == defaults:
+                assert max(sizes[1:]) == widest
+                assert chunks[1:] == [1] * (len(sizes) - 1)
     assert len(results) == 1
 
 
@@ -699,6 +727,42 @@ def test_speculative_golden_follows_one_point_search(width, name, a, b, xtol):
     assert calls[0].tolist() == want_points[:2]
     assert all(c.size <= width for c in calls[1:])
     assert len(calls) == 1 + -(-(len(want_points) - 2) // depth)
+
+
+def forced_golden(a, b, c, d, outcomes):
+    """The points of one-point golden-section steps from bracket (a, b) with
+    inner points c < d, each step taking the ``fc <= fd`` outcome given."""
+    points = []
+    for left in outcomes:
+        if left:
+            b, d = d, c
+            c = b - INVPHI * (b - a)
+            points.append(c)
+        else:
+            a, c = c, d
+            d = a + INVPHI * (b - a)
+            points.append(d)
+    return points
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.2, 0.2 + 1e-12), (0.7, np.nextafter(0.7, 1.0))])
+@pytest.mark.parametrize("left", (True, False))
+@pytest.mark.parametrize("steps", (1, 2, 5))
+def test_golden_tree_is_a_complete_heap(a, b, left, steps):
+    # node i's next point is node 2i + 1 when fc <= fd holds and 2i + 2
+    # when not, on every branch, including those that go on past where a
+    # search with a tolerance would stop (the bracket is below 1e-10 here)
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    points = _golden_tree(a, b, c, d, left, steps)
+    assert len(points) == 2**steps - 1
+    for node in range(len(points)):
+        outcomes, i = [], node
+        while i > 0:
+            outcomes.append(i % 2 == 1)
+            i = (i - 1) // 2
+        want = forced_golden(a, b, c, d, [left, *reversed(outcomes)])
+        assert points[node] == want[-1], node
 
 
 def test_notch_is_evaluated_in_the_grid_call():

@@ -3,8 +3,12 @@
 Samples are drawn with many ties (times on a coarse positive grid),
 censoring from light to nearly total, and any tail size k from 2 to
 n - 1.  A fit that fails must fail with a package error, and in the same
-way for every ordering of the input rows.
+way for every ordering of the input rows.  The level search's certificate
+draws continuous cure mixtures instead, whose minima mostly lie inside the
+feasible interval.
 """
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,7 @@ from curetail import (
     pp_fit,
     pp_loss,
 )
+from curetail import plotfit, potfit
 from curetail.survival import top_tail
 
 MODELS = (*PlottingModel, *PotDomain)
@@ -187,3 +192,60 @@ def gumbel_pot(ordered, curve, config):
         return pot_fit(ordered, curve, PotDomain.GUMBEL, config)
     except CuretailError as exc:
         return type(exc)
+
+
+def searches(sample, k, lam):
+    """Each fit that succeeds, with the level search it made: (fit, profile,
+    lower, upper)."""
+    search, seen = plotfit.minimize_on_interval, []
+
+    def recording(fun, lower, upper, *args, **kwargs):
+        seen.append((fun, lower, upper))
+        return search(fun, lower, upper, *args, **kwargs)
+
+    ordered = order_sample(sample)
+    curve = km_fit(ordered)
+    with patch.object(plotfit, "minimize_on_interval", recording), \
+            patch.object(potfit, "minimize_on_interval", recording):
+        for model in MODELS:
+            seen.clear()
+            try:
+                if isinstance(model, PotDomain):
+                    fit = pot_fit(ordered, curve, model, FitConfig(k=k, lam=lam))
+                else:
+                    fit = pp_fit(ordered, curve, FitConfig(k=k, model=model, lam=lam))
+            except CuretailError:
+                continue
+            [searched] = seen
+            yield fit, searched
+
+
+@st.composite
+def mixtures(draw):
+    """A sample of continuous times from a cure mixture, and a small tail
+    size for it; unlike ``samples``' ties, its profiles mostly have their
+    minimum inside the feasible interval, where the refinement finds it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(40, 200))
+    life = rng.weibull(draw(st.sampled_from([0.5, 1.0, 2.0])), n)
+    life = np.where(rng.random(n) < draw(st.sampled_from([0.6, 0.8, 0.95])), life, np.inf)
+    censor = rng.uniform(0.0, draw(st.sampled_from([1.5, 3.0, 6.0])), n)
+    sample = SurvivalSample(np.minimum(life, censor), (life <= censor).astype(int))
+    return sample, draw(st.integers(5, n // 4))
+
+
+@settings(max_examples=30)
+@given(mixtures(), st.sampled_from([None, 0.0]))
+def test_fit_loss_certifies_the_search_against_a_fine_grid(case, lam):
+    # the grid, the refinement and the notch must find a loss no worse than
+    # the best of 2**15 evenly spaced levels of the same profile, and that
+    # loss must be the profile's own value at the fit's level
+    sample, k = case
+    for fit, (profile, lower, upper) in searches(sample, k, lam):
+        level = fit.pi_hat if hasattr(fit, "pi_hat") else fit.p_hat
+        assert profile(np.array([level]))[0][0] == fit.loss
+        if lower >= upper:
+            continue
+        fine = lower + (upper - lower) * np.arange(1, 2**15 + 1) / 2**15
+        best = float(profile(fine)[0].min())
+        assert fit.loss <= best + 1e-9 * abs(best), (fit, best)
