@@ -275,7 +275,7 @@ def profile_levels(model, f, fixed, penalty, f_thr=None):
     ``PROFILE_CHUNK_ELEMENTS`` terms, or sixteen levels when k is too large
     for that), in the calling thread's ``_Workspace``.  Its float buffer 2
     holds a chunk's transform arguments and then, in place, their
-    transform; buffer 3 the rows, differenced from the threshold column or
+    transform up to sign (``_signed_s_values``); buffer 3 the rows, differenced from the threshold column or
     gathered from buffer 2, and with both, buffer 2 takes the gathered rows
     back.  Buffers 0 and 1 hold the masked regressor and response, and
     buffer 0 then the residual; until buffer 3 is written, the normal
