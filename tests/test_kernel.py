@@ -304,7 +304,6 @@ def test_vecdot_rows_equal_matmul_rows(k):
         for x, y in [(a, b), (a, a), (b[0], a), (a, b[0])]:
             got = _rowdot(x, y)
             assert_same_bits(got, matmul_rows(x, y))
-            assert_same_bits(got, np.vecdot(x, y))
             i = rows // 2
             pair = [v if v.ndim == 1 else v[i] for v in (x, y)]
             assert_same_bits(_rowdot(*pair), got[i])
