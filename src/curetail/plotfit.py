@@ -61,8 +61,9 @@ _DOT_BLOCK = 10_000
 # levels, 63-point trees) 5.06 ms; refinement 800, 3 200 or 6 400 (7-,
 # 31- or 63-point trees) 4.84, 4.77 and 4.96 ms; grid 8 192, 16 384,
 # 32 768 or 49 152 5.01, 4.86, 4.78 and 4.79 ms.  At k = 3999
-# (mc-largek) both floors apply, which measured best there: grid/refinement
-# floors 16/4 took 120 ms per op, 8/4 123 ms, 4/4 135 ms and 16/16 139 ms.
+# (mc-largek) both floors apply (chunks of 16 levels, 3-point trees), which
+# measured best there: grid/refinement floors 16/4 took 120 ms per op, 8/4
+# 123 ms, 4/4 135 ms and 16/16 139 ms.
 PROFILE_CHUNK_ELEMENTS = 24_576
 REFINE_CALL_ELEMENTS = 3_072
 
@@ -390,31 +391,33 @@ def _values_at(call, i: int) -> tuple:
     return tuple(v[i].item() for v in call)
 
 
-def _golden_min(fun, a: float, b: float, xtol: float, width: int):
-    """Golden-section minimizer biased toward the left end under ties.
+def _golden_min(a: float, b: float, xtol: float, width: int):
+    """Golden-section minimizer biased toward the left end under ties, as a generator.
 
-    ``fun`` maps a 1-d array of points to a tuple of arrays of their
-    values, the quantity to minimize first, and must give a point the same
-    values whatever else shares its call.  The first inner pair is one
-    call of 2 points.  After that, each call evaluates the whole tree of
-    points that the next ``depth`` steps can reach, ``2**depth - 1 <=
-    width`` of them (``depth`` at least 1), and the steps are then replayed
-    against those values exactly as a one-point-per-call search takes
-    them: same points, same ``fc <= fd`` tie rule, same 200-step cap.  The
-    replay walks the tree's heap (``_golden_tree``) by index, from the root
-    to the child the comparison picks.  ``width=1`` is the plain sequential
-    search.  A wider call saves calls but evaluates points on branches the
-    search does not take: a tree of ``2**depth - 1`` points serves
-    ``depth`` steps.
+    It takes the level-search protocol of ``_level_search``: each batch it
+    yields is a 1-d array of points, and what is sent back is the
+    profile's tuple of arrays of their values, the quantity to minimize
+    first, for exactly those points; a point's values must not depend on
+    what else shares its batch.  The first batch is the inner pair.  Each
+    batch after it is the whole tree of points that the next ``depth``
+    steps can reach, ``2**depth - 1 <= width`` of them (``depth`` at least
+    1), and the steps are then replayed against those values exactly as a
+    one-point-per-batch search takes them: same points, same ``fc <= fd``
+    tie rule, same 200-step cap.  The replay walks the tree's heap
+    (``_golden_tree``) by index, from the root to the child the comparison
+    picks, and reads each point from the tree.  ``width=1`` is the plain
+    sequential search.  A wider batch saves calls but holds points on
+    branches the search does not take: a tree of ``2**depth - 1`` points
+    serves ``depth`` steps.
 
     Returns ``(x, values)``: the best point the search took, the first of
-    equal values winning, and every entry of ``fun``'s tuple at it, read
-    from the call that evaluated it.
+    equal values winning, and every entry of the profile's tuple at it,
+    read from the batch that held it.
     """
     depth = max(1, (width + 1).bit_length() - 1)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    call = fun(np.array([c, d]))
+    call = yield np.array([c, d])
     fc, fd = call[0].tolist()
     # (value, point, call, index in the call) of the best point so far
     best = (fc, c, call, 0) if fc <= fd else (fd, d, call, 1)
@@ -423,70 +426,48 @@ def _golden_min(fun, a: float, b: float, xtol: float, width: int):
             break
         left = fc <= fd
         if step % depth == 0:
-            call = fun(np.array(_golden_tree(a, b, c, d, left, min(depth, 200 - step))))
+            points = _golden_tree(a, b, c, d, left, min(depth, 200 - step))
+            call = yield np.array(points)
             values = call[0].tolist()
             node = 0
         else:
             node = 2 * node + (1 if left else 2)
-        if left:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = values[node]
-            if fc < best[0]:
-                best = (fc, c, call, node)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = values[node]
-            if fd < best[0]:
-                best = (fd, d, call, node)
+        x, fx = points[node], values[node]
+        a, b, c, d, fc, fd = (a, d, x, c, fx, fc) if left else (c, b, d, x, fd, fx)
+        if fx < best[0]:
+            best = (fx, x, call, node)
     _, x, call, i = best
     return x, _values_at(call, i)
 
 
-def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol: float,
-                         *, width: int):
-    """Dense grid over (lower, upper] followed by golden-section refinement.
+def _level_search(lower: float, upper: float, resolution: int, xtol: float, width: int):
+    """Dense grid over (lower, upper] followed by golden-section refinement, as a generator.
 
-    ``fun`` maps a 1-d array of arguments to a tuple of arrays of their
-    values, the quantity to minimize first, as a profile from
-    ``profile_levels`` does; a point's values must not depend on the other
-    points of its call.
-    Returns ``(x, values)``: the minimizing argument and the entries of
-    that tuple at it, as Python scalars read from the call that evaluated
-    it.  A collapsed interval (``lower >= upper``) evaluates ``upper``
-    alone and returns it.
+    Each batch it yields is a 1-d array of levels; the caller sends back
+    the profile's tuple of arrays of their values, the quantity to
+    minimize first, for exactly those levels, as a profile from
+    ``profile_levels`` gives it.  A level's values must not depend on what
+    else shares its batch.  ``minimize_on_interval`` drives it.
 
-    The grid is one call with all ``resolution`` points plus the boundary
-    notch, the first representable point past the open lower end.
-    Refines around every local minimum of the grid profile (up to the three
-    deepest) with ``_golden_min``, whose calls hold at most ``width``
-    points after the first pair of each basin; both fits pass
-    ``_golden_width(k)``, sized by ``REFINE_CALL_ELEMENTS`` and at least
-    four levels, while their grid call runs in kernel chunks of
-    ``_chunk_rows(k)``, sized by ``PROFILE_CHUNK_ELEMENTS`` and at least
-    sixteen levels.  The two differ because they trade different costs: a
-    grid chunk evaluates only points the search reads, so larger chunks
-    just save the fixed cost per chunk, but a wider refinement call
-    evaluates more points in vain (one call of ``2**depth - 1`` points
-    serves ``depth`` steps).  At k = 100 that is chunks of 245 levels and
-    15-point trees, which took 9 % less CPU per mc-smallk op than 63-point
-    trees, 7 % less than 7-point and 5 % less than 31-point ones; at k =
-    3999, chunks of 16 levels and 3-point trees.
+    A collapsed interval (``lower >= upper``) yields ``[upper]`` alone and
+    returns it.  Otherwise the first batch is the grid, all ``resolution``
+    points, plus the boundary notch, the first representable point past
+    the open lower end.  Then ``_golden_min`` refines around every local
+    minimum of the grid profile (up to the three deepest), in batches of at
+    most ``width`` points after the first pair of each basin.
 
-    The winner comes from one list of ``(x, values)`` candidates: the
-    grid's best point, one per refined basin, and the notch when it is
-    probed.  The least value wins, and a tie goes to the smallest
-    argument; a NaN value is neither less than nor equal to any other, so
-    a candidate with one neither replaces an earlier candidate nor is
-    replaced by a later one.
+    Returns ``(x, values)`` from one list of candidates: the grid's best
+    point, one per refined basin, and the notch when it is probed.  The
+    least value wins, and a tie goes to the smallest level; a NaN value is
+    neither less than nor equal to any other, so a candidate with one
+    neither replaces an earlier candidate nor is replaced by a later one.
     """
     if lower >= upper:
-        return upper, _values_at(fun(np.array([upper])), 0)
+        return upper, _values_at((yield np.array([upper])), 0)
     grid = lower + (upper - lower) * np.arange(1, resolution + 1) / resolution
     notch = np.nextafter(lower, upper)
     probe = notch < upper
-    call = fun(np.append(grid, notch) if probe else grid)
+    call = yield np.append(grid, notch) if probe else grid
     vals = call[0][:resolution]
     # local minima of the sampled profile, endpoints included
     padded = np.concatenate(([np.inf], vals, [np.inf]))
@@ -497,10 +478,34 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     for i in order:
         a = grid[i - 1] if i > 0 else lower + (upper - lower) * 1e-12
         b = grid[i + 1] if i < resolution - 1 else upper
-        candidates.append(_golden_min(fun, float(a), float(b), xtol, width))
+        candidates.append((yield from _golden_min(float(a), float(b), xtol, width)))
     if probe:
         candidates.append((float(notch), _values_at(call, resolution)))
     return min(candidates, key=lambda c: (c[1][0], c[0]))
+
+
+def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol: float,
+                         *, width: int):
+    """Minimize ``fun`` over (lower, upper] by ``_level_search``.
+
+    This driver is the one place where the level search calls the
+    profile.  ``fun`` maps each batch of levels the search yields, a 1-d
+    array, to a tuple of arrays of their values, the quantity to minimize
+    first, as a profile from ``profile_levels`` does; a level's values must
+    not depend on the other levels of its batch.  Both fits pass a grid of
+    ``resolution`` levels and a refinement ``width`` of ``_golden_width(k)``
+    (see ``PROFILE_CHUNK_ELEMENTS``).
+
+    Returns ``(x, values)``: the minimizing level and the entries of
+    ``fun``'s tuple at it, as Python scalars read from the call that
+    evaluated it.
+    """
+    search, values = _level_search(lower, upper, resolution, xtol, width), None
+    try:
+        while True:
+            values = fun(search.send(values))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _kept_rows(model, f, level, f_thr=None):

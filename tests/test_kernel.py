@@ -42,6 +42,7 @@ from curetail.plotfit import (
     _distinct,
     _golden_min,
     _golden_tree,
+    _level_search,
     _rowdot,
     _workspace,
     minimize_on_interval,
@@ -394,24 +395,39 @@ def test_boundary_exceedance_fit_without_a_slope_has_no_scale(domain):
 
 def test_each_fit_makes_one_search_through_its_own_module(monkeypatch):
     # the benchmark's tracer tells plot searches from exceedance searches
-    # by the module name a fit calls minimize_on_interval through
-    counts = {}
-    for module in (plotfit, potfit):
-        search = module.minimize_on_interval
+    # by the module name a fit calls minimize_on_interval through, and
+    # counts the profile's calls as the calls of the fun it passes there
+    counts, calls = {}, {}
 
-        def counting(*args, _search=search, _name=module.__name__, **kwargs):
+    def counted(fun, key):
+        def wrapped(levels):
+            calls[key] += 1
+            return fun(levels)
+
+        return wrapped
+
+    for module in (plotfit, potfit):
+        search, kernel = module.minimize_on_interval, module.profile_levels
+
+        def counting(fun, *args, _search=search, _name=module.__name__, **kwargs):
             counts[_name] += 1
-            return _search(*args, **kwargs)
+            return _search(counted(fun, "fun"), *args, **kwargs)
+
+        def profiling(*args, _kernel=kernel):
+            return counted(_kernel(*args), "profile")
 
         monkeypatch.setattr(module, "minimize_on_interval", counting)
+        monkeypatch.setattr(module, "profile_levels", profiling)
     cases = [plot_case(model, 40, seed=3040, n=200) for model in PLOT_TAILS]
     cases += [pot_case(domain, 40, seed=4040, n=200) for domain in POT_TAILS]
     for case in cases:
         for case in (case, boundary_case(case)):
             counts.update({plotfit.__name__: 0, potfit.__name__: 0})
+            calls.update({"fun": 0, "profile": 0})
             fit_case(case)
             plot = isinstance(case, PlotCase)
             assert counts == {plotfit.__name__: int(plot), potfit.__name__: int(not plot)}
+            assert calls["fun"] == calls["profile"] > 0
 
 
 @pytest.mark.parametrize("n, k, widest", [(500, 100, 15), (4000, 3999, 3)])
@@ -695,6 +711,19 @@ def one_point_golden(f, a, b, xtol):
     return best_x, best_f, points
 
 
+def step_by_hand(search, fun):
+    """Run a level-search generator, sending back ``fun``'s tuple for each
+    batch it yields; returns its batches and the value it returns."""
+    batches, values = [], None
+    while True:
+        try:
+            batch = search.send(values)
+        except StopIteration as stop:
+            return batches, stop.value
+        batches.append(np.array(batch))
+        values = fun(batch)
+
+
 OBJECTIVES = {
     "bowl": lambda x: (x - 0.3) ** 2,
     "wavy": lambda x: np.sin(40.0 * x) + x,
@@ -711,13 +740,7 @@ OBJECTIVES = {
 def test_speculative_golden_follows_one_point_search(width, name, a, b, xtol):
     f = OBJECTIVES[name]
     want_x, want_f, want_points = one_point_golden(f, a, b, xtol)
-    calls = []
-
-    def recording(x):
-        calls.append(np.array(x))
-        return (f(x),)
-
-    x, (fx,) = _golden_min(recording, a, b, xtol, width)
+    calls, (x, (fx,)) = step_by_hand(_golden_min(a, b, xtol, width), lambda x: (f(x),))
     assert (x, fx) == (want_x, want_f)
     evaluated = set(np.concatenate(calls).tolist())
     assert evaluated >= set(want_points)
@@ -833,6 +856,24 @@ def test_values_are_read_from_the_call_that_made_the_winner():
     assert made and 0 < made[0] < len(calls) - 1 and x not in calls[-1]
     assert values[0] == 0.0
     assert_read_at_its_own_level(x, values)
+
+
+def test_level_search_yields_the_calls_of_its_driver():
+    # three basins, so the search refines three times after the grid call
+    profile, calls = plateau_profile((0.2, 0.5, 0.81), 1e-3)
+    want = minimize_on_interval(profile, 0.0, 1.0, 16, 1e-10, width=7)
+    profile, _ = plateau_profile((0.2, 0.5, 0.81), 1e-3)
+    batches, got = step_by_hand(_level_search(0.0, 1.0, 16, 1e-10, 7), profile)
+    assert [b.tolist() for b in batches] == [c.tolist() for c in calls]
+    assert batches[0].size == 17 and batches[0][-1] == np.nextafter(0.0, 1.0)
+    # each basin's first batch is its inner pair, and trees hold 1, 3 or 7
+    assert [b.size for b in batches[1:]].count(2) == 3
+    assert all(b.size <= 7 for b in batches[1:])
+    assert got == want
+    assert_read_at_its_own_level(*got)
+    batches, got = step_by_hand(_level_search(1.0, 1.0, 64, 1e-10, 7), profile)
+    assert [b.tolist() for b in batches] == [[1.0]]
+    assert got == minimize_on_interval(profile, 1.0, 1.0, 64, 1e-10, width=7)
 
 
 def test_collapsed_interval_evaluates_the_upper_end_alone():
