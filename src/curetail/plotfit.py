@@ -529,6 +529,15 @@ def _kept_rows(model, f, level, f_thr=None):
     return keep, rows
 
 
+def _plot_setup(tail, lam=0.0):
+    """What ``pp_fit``, ``pp_loss`` and ``gof_series`` read of the ``TopTail``
+    record ``tail`` besides its curve: ``(x, p_n, penalty)``, the log
+    excesses of the top k (refusing a non-positive threshold), the
+    benchmark p_n that bounds the level from below, and the penalty on a
+    level or array of levels p, ``lam`` times its squared distance to p_n."""
+    return tail.excesses(log_scale=True), tail.p_n, lambda p: lam * (p - tail.p_n) ** 2
+
+
 def pp_loss(model, ordered, curve, k, slope, p, lam):
     """Penalized plot loss at explicit slope and cure level.
 
@@ -538,13 +547,13 @@ def pp_loss(model, ordered, curve, k, slope, p, lam):
     """
     _check_model(model)
     tail = top_tail(ordered, curve, k)
-    x = tail.excesses(log_scale=True)
-    _check_level(p, "p", InfeasiblePError, tail.p_n)
+    x, p_n, penalty = _plot_setup(tail, lam)
+    _check_level(p, "p", InfeasiblePError, p_n)
     _check_lam(lam)
     check_real(slope, "slope must be a finite real")
     keep, rows = _kept_rows(model, tail.f_top, p, tail.f_thr)
     r = rows - slope * x[keep]
-    return float(r @ r) + lam * (p - tail.p_n) ** 2
+    return float(r @ r) + penalty(p)
 
 
 def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -> CureFit:
@@ -558,13 +567,11 @@ def pp_fit(ordered: OrderedSample, curve: KaplanMeierCurve, config: FitConfig) -
         raise ValidationError("FitConfig.model must be set for a plot fit")
     model = config.model
     tail = top_tail(ordered, curve, config.k)
-    x = tail.excesses(log_scale=True)
+    x, p_n, penalty = _plot_setup(tail, config.resolved_lam(ordered.n))
     if not np.any(x > 0):
         raise DegenerateRegressorError("top k+1 observations coincide; no slope identifiable")
-    p_n = tail.p_n
-    lam = config.resolved_lam(ordered.n)
     p_hat, (loss, slope, skipped) = minimize_on_interval(
-        profile_levels(model, tail.f_top, x, lambda p: lam * (p - p_n) ** 2, tail.f_thr),
+        profile_levels(model, tail.f_top, x, penalty, tail.f_thr),
         p_n, 1.0, config.p_grid_resolution, config.refine_tolerance,
         width=_golden_width(config.k),
     )
@@ -580,7 +587,7 @@ def gof_series(model, ordered, curve, k, p_hat) -> PlotSeries:
     """
     _check_model(model)
     tail = top_tail(ordered, curve, k)
-    tail.excesses(log_scale=True)  # refuses a non-positive threshold, as the fits do
+    _plot_setup(tail)  # refuses a non-positive threshold, as the fits do
     _check_level(p_hat, "p", InfeasiblePError)
     keep, y = _kept_rows(model, tail.f_top, p_hat)
     return PlotSeries(np.log(tail.times[keep]), y, model, tail.k,

@@ -85,21 +85,34 @@ def pot_loss(domain, ordered, curve, k, scale, pi, lam):
     """
     check_real(scale, "scale must be a positive real", lambda v: v > 0)
     _check_lam(lam)
-    tail = top_tail(ordered, curve, k)
-    e, f_k = _exceedance_curve(tail, domain)
-    _check_level(pi, "pi", InfeasiblePiError, float(f_k[-1]))
+    e, f_k, pi_lower, penalty = _exceedance_setup(top_tail(ordered, curve, k), domain, lam)
+    _check_level(pi, "pi", InfeasiblePiError, pi_lower)
     keep, rows = _kept_rows(PlottingModel.PARETO, f_k, pi)
     r = e[keep] - scale * rows
-    return float(r @ r) + lam * (1.0 - (1.0 - pi) * tail.p_k - tail.p_n) ** 2
+    return float(r @ r) + penalty(pi)
 
 
-def _exceedance_curve(tail, domain):
-    """Excesses of the top k (log excesses for Frechet) and the exceedance
-    curve at them: the product-limit curve of the top k alone, the same for
-    both domains."""
+def _recovered(pi, p_k):
+    """The unconditional cure fraction that the conditional level ``pi``
+    recovers, given the probability ``p_k`` of exceeding the threshold."""
+    return 1.0 - (1.0 - pi) * p_k
+
+
+def _exceedance_setup(tail, domain, lam=0.0):
+    """What ``pot_fit``, ``pot_loss`` and ``pot_gof_series`` read of the
+    ``TopTail`` record ``tail``, once ``domain`` is checked.
+
+    Returns ``(e, f_k, pi_lower, penalty)``: the excesses of the top k (log
+    excesses for Frechet); the exceedance curve at them, the product-limit
+    curve of the top k alone, the same for both domains; its last value,
+    the feasibility bound of pi; and the penalty of the plot fits, ``lam``
+    times the squared distance to p_n, on the fraction that a level or
+    array of levels pi recovers (``_recovered``).
+    """
     if not isinstance(domain, PotDomain):
         raise ValidationError(f"unknown exceedance domain {domain!r}")
-    return tail.excesses(log_scale=domain is PotDomain.FRECHET), tail.exceedance_curve()
+    e, f_k = tail.excesses(log_scale=domain is PotDomain.FRECHET), tail.exceedance_curve()
+    return e, f_k, float(f_k[-1]), lambda pi: lam * (_recovered(pi, tail.p_k) - tail.p_n) ** 2
 
 
 def pot_fit(
@@ -115,21 +128,18 @@ def pot_fit(
     refinement over its feasible interval, smallest level winning ties.
     """
     tail = top_tail(ordered, curve, config.k)
-    e, f_k = _exceedance_curve(tail, domain)
+    e, f_k, pi_lower, penalty = _exceedance_setup(tail, domain, config.resolved_lam(ordered.n))
     if float(e.max()) <= 0.0:
         raise DegenerateExceedancesError("all exceedances are zero")
     if float(e.max()) * math.sqrt(e.size) > _MAX_EXCESS_NORM:
         raise DegenerateExceedancesError("exceedances too large: their squared sum overflows")
     # every jump of the curve lifts it above 0, and the last time is past them all
-    pi_lower = float(f_k[-1])
     if pi_lower == 0.0:
         raise DegenerateExceedancesError("no events above the threshold among the top k")
 
-    lam = config.resolved_lam(ordered.n)
     # e against the Pareto rows s = -log(1 - F/pi), with slope the scale
     pi_hat, (loss, scale, skipped) = minimize_on_interval(
-        profile_levels(PlottingModel.PARETO, f_k, e,
-                       lambda pi: lam * (1.0 - (1.0 - pi) * tail.p_k - tail.p_n) ** 2),
+        profile_levels(PlottingModel.PARETO, f_k, e, penalty),
         pi_lower, 1.0, config.p_grid_resolution, config.refine_tolerance,
         width=_golden_width(config.k),
     )
@@ -139,9 +149,8 @@ def pot_fit(
         scale = math.nan
     elif not boundary and not (math.isfinite(scale) and scale > 0.0):
         raise DegenerateExceedancesError("exceedance fit collapsed to a non-positive scale")
-    p_hat = 1.0 - (1.0 - pi_hat) * tail.p_k
-    return PotFit(scale, pi_hat, p_hat, tail.p_k, loss, config.k, skipped_terms=skipped,
-                  boundary=boundary)
+    return PotFit(scale, pi_hat, _recovered(pi_hat, tail.p_k), tail.p_k, loss, config.k,
+                  skipped_terms=skipped, boundary=boundary)
 
 
 def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
@@ -153,7 +162,7 @@ def pot_gof_series(ordered, curve, domain, k, pi_hat, scale_hat) -> PlotSeries:
     _check_level(pi_hat, "pi", InfeasiblePiError)
     check_real(scale_hat, "scale must be a positive real", lambda v: v > 0)
     tail = top_tail(ordered, curve, k)
-    e, f_k = _exceedance_curve(tail, domain)
+    e, f_k, _, _ = _exceedance_setup(tail, domain)
     keep, rows = _kept_rows(PlottingModel.PARETO, f_k, pi_hat)
     return PlotSeries(e[keep], scale_hat * rows, domain, tail.k,
                       tail.k - int(np.count_nonzero(keep)))

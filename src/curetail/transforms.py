@@ -170,15 +170,13 @@ def s_transform(model: PlottingModel, t: float) -> float:
     return float(_s_values(model, np.asarray([t], dtype=float))[0])
 
 
-def _s_values(model: PlottingModel, t: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _s_values(model: PlottingModel, t: np.ndarray) -> np.ndarray:
     """Vectorized transform; callers guarantee t stays inside (0, 1).
 
     Pareto's is -log t, Weibull's the log of Pareto's, and the log-normal
-    upper-tail quantile is Phi^{-1}(1 - t) = -Phi^{-1}(t).  The values go to
-    ``out`` when given, which may be ``t`` itself; ``out`` and ``scratch``
-    are handed on as ``_norm_quantile`` takes them.
+    upper-tail quantile is Phi^{-1}(1 - t) = -Phi^{-1}(t).
     """
-    s = _signed_s_values(model, t, out, scratch)
+    s = _signed_s_values(model, t)
     return s if model is PlottingModel.WEIBULL else np.negative(s, out=s)
 
 

@@ -5,6 +5,7 @@ as ``tests/test_code_lines.py`` loads the code-line count.
 """
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,16 @@ def test_prints_one_digest_per_family_and_repeats_itself(tool, capsys):
     assert [family for family, _ in rows] == list(tool.FAMILIES)
     assert all(len(digest) == 64 for _, digest in rows)
     assert outputs[1] == outputs[0]
+
+
+def test_names_the_package_it_digests_on_stderr(tool, capsys):
+    # with an installed package, a PYTHONPATH that names no tree falls
+    # through to it silently; stdout must stay comparable, so stderr names it
+    import curetail
+
+    assert tool.main(["--samples", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err == f"curetail from {os.path.dirname(curetail.__file__)}\n"
 
 
 def test_every_family_gets_lines(tool):

@@ -10,9 +10,11 @@ batches; that search must take exactly the path of the one-point search.
 Nor may they depend on what earlier calls left in a reused workspace.
 """
 import math
+import re
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +310,14 @@ def test_vecdot_rows_equal_matmul_rows(k):
             i = rows // 2
             pair = [v if v.ndim == 1 else v[i] for v in (x, y)]
             assert_same_bits(_rowdot(*pair), got[i])
+
+
+def test_declared_numpy_floor_has_vecdot():
+    # _rowdot calls np.vecdot, which NumPy 2.0 added.  pyproject.toml is read
+    # as text, since tomllib came with Python 3.11
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floors = re.findall(r'"numpy\s*>=\s*(\d+)\.(\d+)', text)
+    assert len(floors) == 1 and tuple(map(int, floors[0])) >= (2, 0)
 
 
 def test_threshold_below_first_event():

@@ -21,7 +21,7 @@ from curetail import (
     pot_gof_series,
     pot_loss,
 )
-from curetail.potfit import _exceedance_curve
+from curetail.potfit import _exceedance_setup
 from curetail.survival import top_tail
 
 
@@ -66,7 +66,7 @@ def exact_case(sigma0=1.3, k=40):
     of the conditional level, the exceedance curve's final value."""
     o = order_sample(exact_exceedance_sample(sigma0=sigma0, k=k))
     c = km_fit(o)
-    _, f_k = _exceedance_curve(top_tail(o, c, k), PotDomain.GUMBEL)
+    _, f_k, _, _ = _exceedance_setup(top_tail(o, c, k), PotDomain.GUMBEL)
     return o, c, float(f_k[-1])
 
 
@@ -81,7 +81,7 @@ class TestPotLoss:
         for _ in range(100):
             o, c = prepared(rng, n=int(rng.integers(80, 250)))
             k = int(rng.integers(5, o.n // 2))
-            _, f_k = _exceedance_curve(top_tail(o, c, k), PotDomain.GUMBEL)
+            _, f_k, _, _ = _exceedance_setup(top_tail(o, c, k), PotDomain.GUMBEL)
             lower = float(f_k[-1])
             if lower == 0.0 or lower >= 0.99:
                 continue
@@ -313,7 +313,7 @@ class TestEventAtThreshold:
     def test_both_domains_read_one_curve(self):
         o, c = threshold_tied_sample(self.EVENTS)
         tail = top_tail(o, c, 6)
-        (e_g, f_g), (e_f, f_f) = (_exceedance_curve(tail, d) for d in PotDomain)
+        (e_g, f_g), (e_f, f_f) = (_exceedance_setup(tail, d)[:2] for d in PotDomain)
         assert_array_equal(f_g, f_f)
         assert_array_equal(e_g, tail.excesses())
         assert_array_equal(e_f, tail.excesses(log_scale=True))

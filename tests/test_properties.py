@@ -4,10 +4,10 @@ Samples are drawn with many ties (times on a coarse positive grid),
 censoring from light to nearly total, and any tail size k from 2 to
 n - 1.  A fit that fails must fail with a package error, and in the same
 way for every ordering of the input rows.  Continuous cure mixtures,
-whose minima mostly lie inside the feasible interval, carry the row-order
-and bounds properties into the golden-section refinement, which tied
-samples seldom reach, and they are all that the level search's
-certificate draws.
+whose minima mostly lie inside the feasible interval, carry the row-order,
+bounds, oracle and translation properties into the golden-section
+refinement, which tied samples seldom reach, and they are all that the
+level search's certificate draws.
 """
 from unittest.mock import patch
 
@@ -160,7 +160,7 @@ def test_penalty_limit_pins_the_benchmark(case):
 
 
 @settings(max_examples=60)
-@given(samples())
+@given(SAMPLES_OR_MIXTURES)
 def test_fit_losses_match_the_oracle(case):
     # the oracle restates the losses from the paper; the public losses, at
     # the fit's own estimates, must reproduce the fit's loss by the row
@@ -188,7 +188,7 @@ def test_fit_losses_match_the_oracle(case):
 
 
 @settings(max_examples=60)
-@given(samples(), st.sampled_from([0.5, 3.0, 100.0]), st.sampled_from([None, 0.0]))
+@given(SAMPLES_OR_MIXTURES, st.sampled_from([0.5, 3.0, 100.0]), st.sampled_from([None, 0.0]))
 def test_gumbel_pot_is_translation_invariant(case, shift, lam):
     # the Gumbel variant reads raw excesses and a curve fixed by the order
     # of the times, so a common shift moves its loss by rounding alone.

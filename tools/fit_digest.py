@@ -8,8 +8,10 @@ against two source trees and diffing what it prints:
     diff old.txt new.txt
 
 The tool itself must be the same on both sides: run one copy of it, and
-point ``PYTHONPATH`` at each tree in turn.  It prints one ``<family>
-<sha256>`` line per output family:
+point ``PYTHONPATH`` at each tree in turn.  It writes the directory of the
+``curetail`` package it imported to stderr, so that a ``PYTHONPATH`` that
+names no tree, and falls through to an installed package, shows there.
+It prints one ``<family> <sha256>`` line per output family:
 
 * each of the five fits, every field of its record or the class name of
   the error it raised;
@@ -33,11 +35,13 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import os
 import sys
 from enum import Enum
 
 import numpy as np
 
+import curetail
 from curetail import (
     CuretailError,
     FitConfig,
@@ -202,6 +206,7 @@ def main(argv: list) -> int:
     parser.add_argument("--samples", type=int, default=24, help="pool size (default 24)")
     parser.add_argument("--seed", type=int, default=2024, help="pool seed (default 2024)")
     args = parser.parse_args(argv)
+    print("curetail from", os.path.dirname(curetail.__file__), file=sys.stderr)
     digests = {family: hashlib.sha256() for family in FAMILIES}
     for family, text in lines(args.samples, args.seed):
         digests[family].update(text.encode() + b"\n")
