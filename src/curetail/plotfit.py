@@ -52,9 +52,12 @@ _DOT_BLOCK = 10_000
 # which the thread keeps between fits at the last size it needed, and
 # allocates nothing of its size.  So a larger chunk only saves the fixed
 # per-chunk cost, about 20 us at k = 100, where a level costs about 0.4 us.
-# A wider refinement call saves calls too, but evaluates more tree points
-# that the search never reads: a tree of 2**depth - 1 points serves depth
-# steps.  So the two sizes differ.  Measured in process on mc-smallk (k =
+# A refinement call holds a predicted path of up to _golden_width(k) steps,
+# or, after a path that served fewer steps than a tree would, the complete
+# tree of the next steps, 2**depth - 1 <= width points that serve depth
+# steps (``_golden_min``).  The grid measurements below date from when
+# every refinement call was such a tree, and so do the refinement sizes
+# named by their trees.  Measured in process on mc-smallk (k =
 # 100; 2-core Intel Xeon, numpy 2.4, one BLAS thread; medians of 5 rounds
 # of 300 ops), CPU per op for grid/refinement sizes: 24 576/3 072 (chunks
 # of 245 levels, 15-point trees) 4.52 ms; 8 192 for both (chunks of 81
@@ -63,7 +66,11 @@ _DOT_BLOCK = 10_000
 # 32 768 or 49 152 5.01, 4.86, 4.78 and 4.79 ms.  At k = 3999
 # (mc-largek) both floors apply (chunks of 16 levels, 3-point trees), which
 # measured best there: grid/refinement floors 16/4 took 120 ms per op, 8/4
-# 123 ms, 4/4 135 ms and 16/16 139 ms.
+# 123 ms, 4/4 135 ms and 16/16 139 ms.  With paths, counted over the 100
+# mc-smallk replications, refinement 3 072, 4 096 and 6 400 (paths of 30,
+# 40 and 64 steps) made 27.8, 24.0 and 23.6 profile calls and 2 856, 2 930
+# and 3 068 levels per op, at CPU per op within this host's noise of each
+# other (5.0-5.5 ms), so the size stays.
 PROFILE_CHUNK_ELEMENTS = 24_576
 REFINE_CALL_ELEMENTS = 3_072
 
@@ -356,6 +363,16 @@ def profile_levels(model, f, fixed, penalty, f_thr=None):
     return profile
 
 
+def _golden_step(a: float, b: float, c: float, d: float, left: bool):
+    """The bracket ``(a, b, c, d)`` after one golden-section step from bracket
+    (a, b) with inner points c < d, left when ``fc <= fd`` holds; the step's
+    new point is the new ``c`` after a left step and the new ``d`` after a
+    right one.  These are the one-point search's own expressions."""
+    if left:
+        return a, d, d - _INVPHI * (d - a), c
+    return c, b, d, c + _INVPHI * (b - c)
+
+
 def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int):
     """Every point the next ``steps`` golden-section steps can evaluate, as a heap.
 
@@ -363,27 +380,57 @@ def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int)
     is the outcome of ``fc <= fd`` that decides the next step.  Each step
     adds one point and the comparison of its value decides the step after,
     so the points form a complete binary tree of ``2**steps - 1`` nodes,
-    computed here with the search's own expressions and listed level by
-    level: the point after node ``i`` is node ``2*i + 1`` when the next
-    ``fc <= fd`` holds and node ``2*i + 2`` when it does not.  The tree is
-    complete even past where the search would stop on its tolerance, so
-    that this layout holds.
+    listed level by level: the point after node ``i`` is node ``2*i + 1``
+    when the next ``fc <= fd`` holds and node ``2*i + 2`` when it does
+    not.  The tree is complete even past where the search would stop on
+    its tolerance, so that this layout holds.
     """
-    if left:
-        c_left = d - _INVPHI * (d - a)
-        states, points = [(a, d, c_left, c)], [c_left]
-    else:
-        d_right = c + _INVPHI * (b - c)
-        states, points = [(c, b, d, d_right)], [d_right]
+    states = [_golden_step(a, b, c, d, left)]
+    points = [states[0][2 if left else 3]]
     for _ in range(steps - 1):
-        grown = []
-        for a, b, c, d in states:
-            c_left = d - _INVPHI * (d - a)
-            d_right = c + _INVPHI * (b - c)
-            points += (c_left, d_right)
-            grown += ((a, d, c_left, c), (c, b, d, d_right))
-        states = grown
+        states = [_golden_step(*state, side) for state in states for side in (True, False)]
+        # a left child's new point is its c, a right child's its d
+        points += [state[2 + i % 2] for i, state in enumerate(states)]
     return points
+
+
+def _golden_path(a: float, b: float, c: float, d: float, left: bool, steps: int,
+                 guess: float, xtol: float):
+    """The points of the next golden-section steps along the path that ``guess``
+    predicts, and the heap-like child table ``_golden_min`` replays them by.
+
+    The first step goes to the side ``left`` gives, which is known; each
+    step after it goes left when ``guess <= (c + d) / 2`` on the bracket
+    it starts from.  The path ends after ``steps`` points or where its
+    bracket is no wider than ``xtol``.  Node ``i``'s entry in the table is
+    ``(left child, right child)``: ``i + 1`` on the predicted side and -1,
+    no point, on the other.
+    """
+    points, kids = [], []
+    while True:
+        a, b, c, d = _golden_step(a, b, c, d, left)
+        points.append(c if left else d)
+        left = guess <= (c + d) / 2
+        if len(points) == steps or b - a <= xtol:
+            return points, kids + [(-1, -1)]
+        kids.append((len(points), -1) if left else (-1, len(points)))
+
+
+def _vertex(a, b, c, d, fa, fb, fc, fd) -> float:
+    """Where the parabola through the bracket's best inner point and its two
+    neighbours has its vertex, the guess ``_golden_path`` follows.
+
+    The three points are (a, c, d) when ``fc <= fd`` and (c, d, b)
+    otherwise (the parabolic step of Brent, 1973).  A vertex that is not
+    finite or lies outside [a, b] gives ``a`` when ``fc <= fd`` and ``b``
+    otherwise; an unknown end value is ``inf``, which makes the vertex
+    NaN.
+    """
+    left = fc <= fd
+    x1, f1, x2, f2, x3, f3 = (a, fa, c, fc, d, fd) if left else (c, fc, d, fd, b, fb)
+    p, q = (x2 - x1) * (f2 - f3), (x2 - x3) * (f2 - f1)
+    v = x2 - 0.5 * ((x2 - x1) * p - (x2 - x3) * q) / (p - q) if p != q else math.nan
+    return v if a <= v <= b else (a if left else b)
 
 
 def _values_at(call, i: int) -> tuple:
@@ -391,24 +438,29 @@ def _values_at(call, i: int) -> tuple:
     return tuple(v[i].item() for v in call)
 
 
-def _golden_min(a: float, b: float, xtol: float, width: int):
+def _golden_min(a: float, b: float, xtol: float, width: int, fa: float = math.inf,
+                fb: float = math.inf):
     """Golden-section minimizer biased toward the left end under ties, as a generator.
 
     It takes the level-search protocol of ``_level_search``: each batch it
     yields is a 1-d array of points, and what is sent back is the
     profile's tuple of arrays of their values, the quantity to minimize
     first, for exactly those points; a point's values must not depend on
-    what else shares its batch.  The first batch is the inner pair.  Each
-    batch after it is the whole tree of points that the next ``depth``
-    steps can reach, ``2**depth - 1 <= width`` of them (``depth`` at least
-    1), and the steps are then replayed against those values exactly as a
-    one-point-per-batch search takes them: same points, same ``fc <= fd``
-    tie rule, same 200-step cap.  The replay walks the tree's heap
-    (``_golden_tree``) by index, from the root to the child the comparison
-    picks, and reads each point from the tree.  ``width=1`` is the plain
-    sequential search.  A wider batch saves calls but holds points on
-    branches the search does not take: a tree of ``2**depth - 1`` points
-    serves ``depth`` steps.
+    what else shares its batch.  ``fa`` and ``fb`` are the values at the
+    bracket ends, ``inf`` where unknown; they only steer the guess.
+
+    The first batch is the inner pair.  Each batch after it holds the
+    points of up to ``width`` steps along the path that a parabola through
+    the bracket predicts (``_vertex``, ``_golden_path``); its first step is
+    known, so a path serves at least one step.  Once a path serves fewer
+    steps than ``depth``, every later batch of the basin is the complete
+    tree of the next ``depth`` steps, ``2**depth - 1 <= width`` points
+    (``_golden_tree``), which serves all ``depth`` of them.  Paths and
+    trees are replayed by one loop: from node 0 it moves to the child that
+    ``fc <= fd`` picks, and builds the next batch where that child is -1.
+    The steps are those of a one-point-per-batch search: same points, same
+    tie rule, same 200-step cap.  ``width=1`` is the plain sequential
+    search.
 
     Returns ``(x, values)``: the best point the search took, the first of
     equal values winning, and every entry of the profile's tuple at it,
@@ -421,19 +473,29 @@ def _golden_min(a: float, b: float, xtol: float, width: int):
     fc, fd = call[0].tolist()
     # (value, point, call, index in the call) of the best point so far
     best = (fc, c, call, 0) if fc <= fd else (fd, d, call, 1)
+    node, kids, trees, served = -1, None, False, 0
     for step in range(200):
         if b - a <= xtol:
             break
         left = fc <= fd
-        if step % depth == 0:
-            points = _golden_tree(a, b, c, d, left, min(depth, 200 - step))
+        if node >= 0:
+            node = kids[node][0 if left else 1]
+        if node < 0:
+            trees = trees or (kids is not None and served < depth)
+            if trees:
+                points = _golden_tree(a, b, c, d, left, min(depth, 200 - step))
+                kids = [(2 * i + 1, 2 * i + 2) if 2 * i + 2 < len(points) else (-1, -1)
+                        for i in range(len(points))]
+            else:
+                points, kids = _golden_path(a, b, c, d, left, min(width, 200 - step),
+                                            _vertex(a, b, c, d, fa, fb, fc, fd), xtol)
             call = yield np.array(points)
             values = call[0].tolist()
-            node = 0
-        else:
-            node = 2 * node + (1 if left else 2)
+            node, served = 0, 0
+        served += 1
         x, fx = points[node], values[node]
-        a, b, c, d, fc, fd = (a, d, x, c, fx, fc) if left else (c, b, d, x, fd, fx)
+        a, b, c, d, fa, fb, fc, fd = ((a, d, x, c, fa, fd, fx, fc) if left
+                                      else (c, b, d, x, fc, fb, fd, fx))
         if fx < best[0]:
             best = (fx, x, call, node)
     _, x, call, i = best
@@ -453,8 +515,11 @@ def _level_search(lower: float, upper: float, resolution: int, xtol: float, widt
     returns it.  Otherwise the first batch is the grid, all ``resolution``
     points, plus the boundary notch, the first representable point past
     the open lower end.  Then ``_golden_min`` refines around every local
-    minimum of the grid profile (up to the three deepest), in batches of at
-    most ``width`` points after the first pair of each basin.
+    minimum of the grid profile (up to the three deepest), on the bracket
+    of its two grid neighbours, in batches of at most ``width`` points
+    after the first pair of each basin.  It gets the grid's values at the
+    bracket ends to aim its predicted paths; the end of a basin at the
+    first or last grid point has no grid neighbour and gets ``inf``.
 
     Returns ``(x, values)`` from one list of candidates: the grid's best
     point, one per refined basin, and the notch when it is probed.  The
@@ -476,9 +541,10 @@ def _level_search(lower: float, upper: float, resolution: int, xtol: float, widt
     best = int(np.argmin(vals))
     candidates = [(float(grid[best]), _values_at(call, best))]
     for i in order:
-        a = grid[i - 1] if i > 0 else lower + (upper - lower) * 1e-12
-        b = grid[i + 1] if i < resolution - 1 else upper
-        candidates.append((yield from _golden_min(float(a), float(b), xtol, width)))
+        a, fa = (grid[i - 1], vals[i - 1]) if i > 0 else (lower + (upper - lower) * 1e-12, np.inf)
+        b, fb = (grid[i + 1], vals[i + 1]) if i < resolution - 1 else (upper, np.inf)
+        candidates.append((yield from _golden_min(float(a), float(b), xtol, width,
+                                                  float(fa), float(fb))))
     if probe:
         candidates.append((float(notch), _values_at(call, resolution)))
     return min(candidates, key=lambda c: (c[1][0], c[0]))

@@ -39,7 +39,20 @@ def test_names_the_package_it_digests_on_stderr(tool, capsys):
 
     assert tool.main(["--samples", "1"]) == 0
     err = capsys.readouterr().err
-    assert err == f"curetail from {os.path.dirname(curetail.__file__)}\n"
+    assert err.splitlines()[0] == f"curetail from {os.path.dirname(curetail.__file__)}"
+
+
+def test_counts_the_calls_it_hashes_on_stderr(tool, capsys):
+    # a moved calls digest comes with the pool's counts, read here back
+    # from the calls lines: one bracket per call, one hex float per level
+    calls = [text.split(" ", 4)[4] for family, text in tool.lines(2, 2024)
+             if family == "calls"]
+    assert tool.main(["--samples", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines()[1:] == [
+        f"profile calls {sum(c.count('[') - 1 for c in calls)} "
+        f"levels {sum(c.count('0x') for c in calls)}"]
+    assert "profile" not in out
 
 
 def test_every_family_gets_lines(tool):

@@ -44,6 +44,7 @@ from curetail.plotfit import (
     _distinct,
     _golden_min,
     _golden_tree,
+    _golden_width,
     _level_search,
     _rowdot,
     _workspace,
@@ -440,9 +441,9 @@ def test_each_fit_makes_one_search_through_its_own_module(monkeypatch):
             assert calls["fun"] == calls["profile"] > 0
 
 
-@pytest.mark.parametrize("n, k, widest", [(500, 100, 15), (4000, 3999, 3)])
+@pytest.mark.parametrize("n, k, tree", [(500, 100, 15), (4000, 3999, 3)])
 @pytest.mark.parametrize("model", [*PLOT_TAILS, *POT_TAILS])
-def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, widest):
+def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, tree):
     # the kernel is batch-invariant, so the grid chunk size and the
     # refinement's call size may change the grid call's chunks and the
     # refinement's call sizes but no estimate
@@ -498,7 +499,10 @@ def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, widest):
             assert all(size <= max(4, refine // k) for size in sizes[2:])
             assert chunks == [-(-size // rows) for size in sizes]
             if (elements, refine) == defaults:
-                assert max(sizes[1:]) == widest
+                # a predicted path of _golden_width(k) steps (30 at k = 100,
+                # 4 at k = 3999) fills the widest call, which is wider than
+                # the complete tree of `tree` points at that width
+                assert max(sizes[1:]) == _golden_width(k) > tree
                 assert chunks[1:] == [1] * (len(sizes) - 1)
     assert len(results) == 1
 
@@ -754,11 +758,44 @@ def test_speculative_golden_follows_one_point_search(width, name, a, b, xtol):
     assert (x, fx) == (want_x, want_f)
     evaluated = set(np.concatenate(calls).tolist())
     assert evaluated >= set(want_points)
-    # one call for the first pair, then one per tree of up to `width` points
-    depth = (width + 1).bit_length() - 1
+    # one call for the first pair, then paths and trees of up to `width`
+    # points; a mispredicted path costs at most one call over the trees
     assert calls[0].tolist() == want_points[:2]
     assert all(c.size <= width for c in calls[1:])
-    assert len(calls) == 1 + -(-(len(want_points) - 2) // depth)
+    assert len(calls) <= 1 + tree_calls(len(want_points) - 2, width) + 1
+
+
+def tree_calls(steps, width):
+    """Calls after the first pair that complete trees of up to ``width``
+    points take for ``steps`` golden-section steps."""
+    depth = max(1, (width + 1).bit_length() - 1)
+    return -(-steps // depth)
+
+
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+@pytest.mark.parametrize("width", (3, 7, 15, 30))
+def test_predicted_paths_take_fewer_calls_than_trees(width, name):
+    # the same search as one point per call, in fewer calls than the
+    # complete trees of the next steps would take, basin by basin
+    f = OBJECTIVES[name]
+
+    def search(width):
+        calls = []
+
+        def fun(x):
+            calls.append(np.array(x))
+            return (f(x),)
+
+        return minimize_on_interval(fun, 0.0, 1.0, 64, 1e-10, width=width), calls
+
+    want, one_point = search(1)
+    got, calls = search(width)
+    assert got == want
+    # with one point per call, each basin is its pair and then one call per step
+    basins = np.split(np.arange(1, len(one_point)),
+                      [i - 1 for i, c in enumerate(one_point) if c.size == 2][1:])
+    trees = 1 + sum(1 + tree_calls(basin.size - 1, width) for basin in basins)
+    assert len(calls) < trees
 
 
 def forced_golden(a, b, c, d, outcomes):

@@ -10,7 +10,10 @@ against two source trees and diffing what it prints:
 The tool itself must be the same on both sides: run one copy of it, and
 point ``PYTHONPATH`` at each tree in turn.  It writes the directory of the
 ``curetail`` package it imported to stderr, so that a ``PYTHONPATH`` that
-names no tree, and falls through to an installed package, shows there.
+names no tree, and falls through to an installed package, shows there,
+and after the digests the number of profile calls and of levels that the
+pool's fits made, the calls that the ``calls`` family hashes, so that a
+moved ``calls`` digest comes with its counts.
 It prints one ``<family> <sha256>`` line per output family:
 
 * each of the five fits, every field of its record or the class name of
@@ -151,14 +154,21 @@ def recorded_levels():
         plotfit.profile_levels = potfit.profile_levels = kernel
 
 
-def fit_lines(sample, k: int, lam, calls: list):
+def fit_lines(sample, k: int, lam, calls: list, totals: dict):
     """(family, text) lines of the five fits of one sample, k and lam;
-    ``calls`` is the list that ``recorded_levels`` fills."""
+    ``calls`` is the list that ``recorded_levels`` fills, and the fits'
+    profile calls and levels are added to ``totals``."""
     ordered = order_sample(sample)
     curve = km_fit(ordered)
     config = FitConfig(k=k, lam=lam)
     resolved = config.resolved_lam(ordered.n)
     head = f"n={ordered.n} k={k} lam={canon(lam)} "
+
+    def calls_line(name):
+        totals["calls"] += len(calls)
+        totals["levels"] += sum(c.size for c in calls)
+        return "calls", head + name + " " + canon(calls)
+
     for name, model in MODELS.items():
         calls.clear()
         try:
@@ -175,23 +185,25 @@ def fit_lines(sample, k: int, lam, calls: list):
                 series = outcome(gof_series, model, ordered, curve, k, fit.p_hat)
         except CuretailError as exc:
             yield name, head + type(exc).__name__
-            yield "calls", head + name + " " + canon(calls)
+            yield calls_line(name)
             continue
         yield name, head + canon(fit)
-        yield "calls", head + name + " " + canon(calls)
+        yield calls_line(name)
         yield "loss", head + name + " " + loss
         yield "series", head + name + " " + series
         yield "fit_fields", head + outcome(fit_fields, name, ordered, curve, config)
 
 
-def lines(size: int, seed: int):
-    """(family, text) lines over the whole pool and the two scenario runs."""
+def lines(size: int, seed: int, totals: dict | None = None):
+    """(family, text) lines over the whole pool and the two scenario runs;
+    the pool's profile calls and levels are counted into ``totals``."""
+    totals = {"calls": 0, "levels": 0} if totals is None else totals
     with recorded_levels() as calls:
         for sample, seeded_k in pool(size, seed):
             n = sample.n
             for k in (5, seeded_k, n - 1):
                 for lam in (None, 0.0):
-                    yield from fit_lines(sample, k, lam, calls)
+                    yield from fit_lines(sample, k, lam, calls, totals)
             for k in (seeded_k, n - 1):
                 for name in ESTIMATOR_NAMES:
                     yield "stress_sweep", f"n={n} k={k} {name} " + outcome(
@@ -208,10 +220,12 @@ def main(argv: list) -> int:
     args = parser.parse_args(argv)
     print("curetail from", os.path.dirname(curetail.__file__), file=sys.stderr)
     digests = {family: hashlib.sha256() for family in FAMILIES}
-    for family, text in lines(args.samples, args.seed):
+    totals = {"calls": 0, "levels": 0}
+    for family, text in lines(args.samples, args.seed, totals):
         digests[family].update(text.encode() + b"\n")
     for family in FAMILIES:
         print(family, digests[family].hexdigest())
+    print(f"profile calls {totals['calls']} levels {totals['levels']}", file=sys.stderr)
     return 0
 
 
