@@ -473,7 +473,7 @@ def _golden_min(a: float, b: float, xtol: float, width: int, fa: float = math.in
     fc, fd = call[0].tolist()
     # (value, point, call, index in the call) of the best point so far
     best = (fc, c, call, 0) if fc <= fd else (fd, d, call, 1)
-    node, kids, trees, served = -1, None, False, 0
+    node, trees, served = -1, False, depth
     for step in range(200):
         if b - a <= xtol:
             break
@@ -481,7 +481,7 @@ def _golden_min(a: float, b: float, xtol: float, width: int, fa: float = math.in
         if node >= 0:
             node = kids[node][0 if left else 1]
         if node < 0:
-            trees = trees or (kids is not None and served < depth)
+            trees = trees or served < depth
             if trees:
                 points = _golden_tree(a, b, c, d, left, min(depth, 200 - step))
                 kids = [(2 * i + 1, 2 * i + 2) if 2 * i + 2 < len(points) else (-1, -1)

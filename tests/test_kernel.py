@@ -792,9 +792,9 @@ def test_predicted_paths_take_fewer_calls_than_trees(width, name):
     got, calls = search(width)
     assert got == want
     # with one point per call, each basin is its pair and then one call per step
-    basins = np.split(np.arange(1, len(one_point)),
-                      [i - 1 for i, c in enumerate(one_point) if c.size == 2][1:])
-    trees = 1 + sum(1 + tree_calls(basin.size - 1, width) for basin in basins)
+    starts = [i for i, c in enumerate(one_point) if c.size == 2] + [len(one_point)]
+    trees = 1 + sum(1 + tree_calls(end - start - 1, width)
+                    for start, end in zip(starts, starts[1:]))
     assert len(calls) < trees
 
 
