@@ -52,25 +52,26 @@ _DOT_BLOCK = 10_000
 # which the thread keeps between fits at the last size it needed, and
 # allocates nothing of its size.  So a larger chunk only saves the fixed
 # per-chunk cost, about 20 us at k = 100, where a level costs about 0.4 us.
-# A refinement call holds a predicted path of up to _golden_width(k) steps,
-# or, after a path that served fewer steps than a tree would, the complete
-# tree of the next steps, 2**depth - 1 <= width points that serve depth
-# steps (``_golden_min``).  The grid measurements below date from when
-# every refinement call was such a tree, and so do the refinement sizes
-# named by their trees.  Measured in process on mc-smallk (k =
-# 100; 2-core Intel Xeon, numpy 2.4, one BLAS thread; medians of 5 rounds
-# of 300 ops), CPU per op for grid/refinement sizes: 24 576/3 072 (chunks
-# of 245 levels, 15-point trees) 4.52 ms; 8 192 for both (chunks of 81
-# levels, 63-point trees) 5.06 ms; refinement 800, 3 200 or 6 400 (7-,
-# 31- or 63-point trees) 4.84, 4.77 and 4.96 ms; grid 8 192, 16 384,
-# 32 768 or 49 152 5.01, 4.86, 4.78 and 4.79 ms.  At k = 3999
-# (mc-largek) both floors apply (chunks of 16 levels, 3-point trees), which
-# measured best there: grid/refinement floors 16/4 took 120 ms per op, 8/4
-# 123 ms, 4/4 135 ms and 16/16 139 ms.  With paths, counted over the 100
-# mc-smallk replications, refinement 3 072, 4 096 and 6 400 (paths of 30,
-# 40 and 64 steps) made 27.8, 24.0 and 23.6 profile calls and 2 856, 2 930
-# and 3 068 levels per op, at CPU per op within this host's noise of each
-# other (5.0-5.5 ms), so the size stays.
+# A refinement call holds up to _golden_width(k) points of a predicted path;
+# a basin's first call holds its inner pair and the first width - 2 steps
+# (``_golden_min``).  The grid sizes and the first refinement sizes below
+# were measured when every refinement call held the complete tree of the
+# next golden-section steps; the call sizes named with them are those trees'
+# sizes.  Measured in process on mc-smallk (k = 100; 2-core Intel Xeon,
+# numpy 2.4, one BLAS thread; medians of 5 rounds of 300 ops), CPU per op
+# for grid/refinement sizes: 24 576/3 072 (chunks of 245 levels, calls of
+# 15) 4.52 ms; 8 192 for both (chunks of 81 levels, calls of 63) 5.06 ms;
+# refinement 800, 3 200 or 6 400 (calls of 7, 31 or 63) 4.84, 4.77 and 4.96
+# ms; grid 8 192, 16 384, 32 768 or 49 152 5.01, 4.86, 4.78 and 4.79 ms.  At
+# k = 3999 (mc-largek) both floors apply (chunks of 16 levels, calls of 3),
+# which measured best there: grid/refinement floors 16/4 took 120 ms per op,
+# 8/4 123 ms, 4/4 135 ms and 16/16 139 ms.  With predicted paths, while
+# complete trees still followed a path that served few steps, counted over
+# the 100 mc-smallk replications, refinement 3 072, 4 096 and 6 400 (paths
+# of 30, 40 and 64 steps) made 27.8, 24.0 and 23.6 profile calls and 2 856,
+# 2 930 and 3 068 levels per op, at CPU per op within this host's noise of
+# each other (5.0-5.5 ms), so the size stays; with paths alone, 3 072 makes
+# 24.3 calls and 2 831 levels per op.
 PROFILE_CHUNK_ELEMENTS = 24_576
 REFINE_CALL_ELEMENTS = 3_072
 
@@ -373,47 +374,24 @@ def _golden_step(a: float, b: float, c: float, d: float, left: bool):
     return c, b, d, c + _INVPHI * (b - c)
 
 
-def _golden_tree(a: float, b: float, c: float, d: float, left: bool, steps: int):
-    """Every point the next ``steps`` golden-section steps can evaluate, as a heap.
-
-    The search sits at bracket (a, b) with inner points c < d, and ``left``
-    is the outcome of ``fc <= fd`` that decides the next step.  Each step
-    adds one point and the comparison of its value decides the step after,
-    so the points form a complete binary tree of ``2**steps - 1`` nodes,
-    listed level by level: the point after node ``i`` is node ``2*i + 1``
-    when the next ``fc <= fd`` holds and node ``2*i + 2`` when it does
-    not.  The tree is complete even past where the search would stop on
-    its tolerance, so that this layout holds.
-    """
-    states = [_golden_step(a, b, c, d, left)]
-    points = [states[0][2 if left else 3]]
-    for _ in range(steps - 1):
-        states = [_golden_step(*state, side) for state in states for side in (True, False)]
-        # a left child's new point is its c, a right child's its d
-        points += [state[2 + i % 2] for i, state in enumerate(states)]
-    return points
-
-
 def _golden_path(a: float, b: float, c: float, d: float, left: bool, steps: int,
                  guess: float, xtol: float):
-    """The points of the next golden-section steps along the path that ``guess``
-    predicts, and the heap-like child table ``_golden_min`` replays them by.
+    """The next golden-section steps along the path that ``guess`` predicts,
+    as ``(side, point)`` pairs, ``side`` being the ``fc <= fd`` outcome
+    that takes the step.
 
-    The first step goes to the side ``left`` gives, which is known; each
-    step after it goes left when ``guess <= (c + d) / 2`` on the bracket
-    it starts from.  The path ends after ``steps`` points or where its
-    bracket is no wider than ``xtol``.  Node ``i``'s entry in the table is
-    ``(left child, right child)``: ``i + 1`` on the predicted side and -1,
-    no point, on the other.
+    The search sits at bracket (a, b) with inner points c < d.  The first
+    step goes to the side ``left`` gives; each step after it goes left when
+    ``guess <= (c + d) / 2`` on the bracket it starts from.  The path ends
+    after ``steps`` steps or where its bracket is no wider than ``xtol``,
+    where the one-point search stops too.
     """
-    points, kids = [], []
-    while True:
+    path = []
+    while len(path) < steps and b - a > xtol:
         a, b, c, d = _golden_step(a, b, c, d, left)
-        points.append(c if left else d)
+        path.append((left, c if left else d))
         left = guess <= (c + d) / 2
-        if len(points) == steps or b - a <= xtol:
-            return points, kids + [(-1, -1)]
-        kids.append((len(points), -1) if left else (-1, len(points)))
+    return path
 
 
 def _vertex(a, b, c, d, fa, fb, fc, fd) -> float:
@@ -421,15 +399,17 @@ def _vertex(a, b, c, d, fa, fb, fc, fd) -> float:
     neighbours has its vertex, the guess ``_golden_path`` follows.
 
     The three points are (a, c, d) when ``fc <= fd`` and (c, d, b)
-    otherwise (the parabolic step of Brent, 1973).  A vertex that is not
-    finite or lies outside [a, b] gives ``a`` when ``fc <= fd`` and ``b``
-    otherwise; an unknown end value is ``inf``, which makes the vertex
-    NaN.
+    otherwise (the parabolic step of Brent, 1973).  A tie ``fc == fd``
+    gives ``a``, which predicts a left step at every step, since the
+    one-point search steps left on a tie, as it does along a plateau.  A
+    vertex that is not finite or lies outside [a, b] gives ``a`` when
+    ``fc <= fd`` and ``b`` otherwise; an unknown end value is ``inf``,
+    which makes the vertex NaN.
     """
     left = fc <= fd
     x1, f1, x2, f2, x3, f3 = (a, fa, c, fc, d, fd) if left else (c, fc, d, fd, b, fb)
     p, q = (x2 - x1) * (f2 - f3), (x2 - x3) * (f2 - f1)
-    v = x2 - 0.5 * ((x2 - x1) * p - (x2 - x3) * q) / (p - q) if p != q else math.nan
+    v = x2 - 0.5 * ((x2 - x1) * p - (x2 - x3) * q) / (p - q) if p != q and fc != fd else math.nan
     return v if a <= v <= b else (a if left else b)
 
 
@@ -438,66 +418,60 @@ def _values_at(call, i: int) -> tuple:
     return tuple(v[i].item() for v in call)
 
 
-def _golden_min(a: float, b: float, xtol: float, width: int, fa: float = math.inf,
-                fb: float = math.inf):
+def _golden_min(a: float, b: float, xtol: float, width: int, guess: float,
+                fa: float = math.inf, fb: float = math.inf):
     """Golden-section minimizer biased toward the left end under ties, as a generator.
 
     It takes the level-search protocol of ``_level_search``: each batch it
     yields is a 1-d array of points, and what is sent back is the
     profile's tuple of arrays of their values, the quantity to minimize
     first, for exactly those points; a point's values must not depend on
-    what else shares its batch.  ``fa`` and ``fb`` are the values at the
-    bracket ends, ``inf`` where unknown; they only steer the guess.
+    what else shares its batch.  ``guess`` is where the minimum is
+    expected, and ``fa`` and ``fb`` are the values at the bracket ends,
+    ``inf`` where unknown; they only steer which points share a batch.
 
-    The first batch is the inner pair.  Each batch after it holds the
-    points of up to ``width`` steps along the path that a parabola through
-    the bracket predicts (``_vertex``, ``_golden_path``); its first step is
-    known, so a path serves at least one step.  Once a path serves fewer
-    steps than ``depth``, every later batch of the basin is the complete
-    tree of the next ``depth`` steps, ``2**depth - 1 <= width`` points
-    (``_golden_tree``), which serves all ``depth`` of them.  Paths and
-    trees are replayed by one loop: from node 0 it moves to the child that
-    ``fc <= fd`` picks, and builds the next batch where that child is -1.
-    The steps are those of a one-point-per-batch search: same points, same
-    tie rule, same 200-step cap.  ``width=1`` is the plain sequential
-    search.
+    Every batch is a predicted path (``_golden_path``) of at most
+    ``max(width, 2)`` points.  The first is the inner pair and then
+    ``width - 2`` steps toward ``guess``, whose first side is a guess too.
+    Each batch after it holds up to ``width`` steps along the path that a
+    parabola through the bracket predicts (``_vertex``); its first step is
+    known, so it serves at least one.  The replay serves the next step of
+    a batch while its side equals ``fc <= fd`` and yields a new path where
+    it does not, so the values of a mispredicted step and of every step
+    after it are never read.  The steps are those of a one-point-per-batch
+    search: same points, same tie rule, same 200-step cap.  ``width=1`` is
+    the plain sequential search.
 
     Returns ``(x, values)``: the best point the search took, the first of
     equal values winning, and every entry of the profile's tuple at it,
     read from the batch that held it.
     """
-    depth = max(1, (width + 1).bit_length() - 1)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    call = yield np.array([c, d])
-    fc, fd = call[0].tolist()
+    path = [(None, c), (None, d)]
+    path += _golden_path(a, b, c, d, guess <= (c + d) / 2, min(width - 2, 200), guess, xtol)
+    call = yield np.array([x for _, x in path])
+    values = call[0].tolist()
+    fc, fd = values[:2]
     # (value, point, call, index in the call) of the best point so far
     best = (fc, c, call, 0) if fc <= fd else (fd, d, call, 1)
-    node, trees, served = -1, False, depth
+    node = 2
     for step in range(200):
         if b - a <= xtol:
             break
         left = fc <= fd
-        if node >= 0:
-            node = kids[node][0 if left else 1]
-        if node < 0:
-            trees = trees or served < depth
-            if trees:
-                points = _golden_tree(a, b, c, d, left, min(depth, 200 - step))
-                kids = [(2 * i + 1, 2 * i + 2) if 2 * i + 2 < len(points) else (-1, -1)
-                        for i in range(len(points))]
-            else:
-                points, kids = _golden_path(a, b, c, d, left, min(width, 200 - step),
-                                            _vertex(a, b, c, d, fa, fb, fc, fd), xtol)
-            call = yield np.array(points)
+        if node == len(path) or path[node][0] != left:
+            path = _golden_path(a, b, c, d, left, min(width, 200 - step),
+                                _vertex(a, b, c, d, fa, fb, fc, fd), xtol)
+            call = yield np.array([x for _, x in path])
             values = call[0].tolist()
-            node, served = 0, 0
-        served += 1
-        x, fx = points[node], values[node]
+            node = 0
+        x, fx = path[node][1], values[node]
         a, b, c, d, fa, fb, fc, fd = ((a, d, x, c, fa, fd, fx, fc) if left
                                       else (c, b, d, x, fc, fb, fd, fx))
         if fx < best[0]:
             best = (fx, x, call, node)
+        node += 1
     _, x, call, i = best
     return x, _values_at(call, i)
 
@@ -517,9 +491,14 @@ def _level_search(lower: float, upper: float, resolution: int, xtol: float, widt
     the open lower end.  Then ``_golden_min`` refines around every local
     minimum of the grid profile (up to the three deepest), on the bracket
     of its two grid neighbours, in batches of at most ``width`` points
-    after the first pair of each basin.  It gets the grid's values at the
-    bracket ends to aim its predicted paths; the end of a basin at the
-    first or last grid point has no grid neighbour and gets ``inf``.
+    (two for a width below two).  Its first batch holds the inner pair and
+    a path toward the guess that ``_vertex`` makes of the grid point and
+    its two neighbours, the parabola through (a, c, d) with c the grid
+    point and d = b; at the last grid point, which is the upper end of its
+    bracket, the guess is that end.  It gets the grid's values at the
+    bracket ends to aim its later paths; the end of a basin at the first
+    or last grid point has no grid neighbour and gets ``inf``, which makes
+    the first basin's guess its lower end.
 
     Returns ``(x, values)`` from one list of candidates: the grid's best
     point, one per refined basin, and the notch when it is probed.  The
@@ -543,8 +522,11 @@ def _level_search(lower: float, upper: float, resolution: int, xtol: float, widt
     for i in order:
         a, fa = (grid[i - 1], vals[i - 1]) if i > 0 else (lower + (upper - lower) * 1e-12, np.inf)
         b, fb = (grid[i + 1], vals[i + 1]) if i < resolution - 1 else (upper, np.inf)
-        candidates.append((yield from _golden_min(float(a), float(b), xtol, width,
-                                                  float(fa), float(fb))))
+        a, b, fa, fb = float(a), float(b), float(fa), float(fb)
+        # the last grid point is the bracket's upper end, with one neighbour
+        guess = b if i == resolution - 1 else _vertex(a, b, float(grid[i]), b, fa, fb,
+                                                      float(vals[i]), fb)
+        candidates.append((yield from _golden_min(a, b, xtol, width, guess, fa, fb)))
     if probe:
         candidates.append((float(notch), _values_at(call, resolution)))
     return min(candidates, key=lambda c: (c[1][0], c[0]))
@@ -560,7 +542,9 @@ def minimize_on_interval(fun, lower: float, upper: float, resolution: int, xtol:
     first, as a profile from ``profile_levels`` does; a level's values must
     not depend on the other levels of its batch.  Both fits pass a grid of
     ``resolution`` levels and a refinement ``width`` of ``_golden_width(k)``
-    (see ``PROFILE_CHUNK_ELEMENTS``).
+    (see ``PROFILE_CHUNK_ELEMENTS``): the grid is one call, and each
+    refinement call holds at most ``width`` levels, each basin's first call
+    its inner pair and a predicted path.
 
     Returns ``(x, values)``: the minimizing level and the entries of
     ``fun``'s tuple at it, as Python scalars read from the call that

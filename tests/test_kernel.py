@@ -43,7 +43,7 @@ from curetail.plotfit import (
     _chunk_rows,
     _distinct,
     _golden_min,
-    _golden_tree,
+    _golden_path,
     _golden_width,
     _level_search,
     _rowdot,
@@ -490,19 +490,19 @@ def test_fit_does_not_depend_on_chunk_size(monkeypatch, model, n, k, tree):
             assert not result.boundary
             results.add(repr(result))
             # one grid call of 512 levels and the notch, in chunks of at
-            # least sixteen levels; then the refinement: the first basin's
-            # first pair is one call of two levels, and every later call
-            # holds at most max(4, refine // k) levels, in as few chunks
+            # least sixteen levels; then the refinement, every call of which,
+            # a basin's first pair and its path included, holds at most
+            # max(4, refine // k) levels, in as few chunks
             rows = max(16, elements // k)
             assert sizes[0] == 513
-            assert sizes[1] == 2
-            assert all(size <= max(4, refine // k) for size in sizes[2:])
+            assert all(size <= max(4, refine // k) for size in sizes[1:])
             assert chunks == [-(-size // rows) for size in sizes]
             if (elements, refine) == defaults:
-                # a predicted path of _golden_width(k) steps (30 at k = 100,
-                # 4 at k = 3999) fills the widest call, which is wider than
-                # the complete tree of `tree` points at that width
-                assert max(sizes[1:]) == _golden_width(k) > tree
+                # the first basin's pair and the path the grid predicts fill
+                # its first call to _golden_width(k) levels (30 at k = 100,
+                # 4 at k = 3999), more than the `tree` points of the complete
+                # trees that the refinement once made at that width
+                assert sizes[1] == max(sizes[1:]) == _golden_width(k) > tree
                 assert chunks[1:] == [1] * (len(sizes) - 1)
     assert len(results) == 1
 
@@ -754,15 +754,27 @@ OBJECTIVES = {
 def test_speculative_golden_follows_one_point_search(width, name, a, b, xtol):
     f = OBJECTIVES[name]
     want_x, want_f, want_points = one_point_golden(f, a, b, xtol)
-    calls, (x, (fx,)) = step_by_hand(_golden_min(a, b, xtol, width), lambda x: (f(x),))
-    assert (x, fx) == (want_x, want_f)
-    evaluated = set(np.concatenate(calls).tolist())
-    assert evaluated >= set(want_points)
-    # one call for the first pair, then paths and trees of up to `width`
-    # points; a mispredicted path costs at most one call over the trees
-    assert calls[0].tolist() == want_points[:2]
-    assert all(c.size <= width for c in calls[1:])
-    assert len(calls) <= 1 + tree_calls(len(want_points) - 2, width) + 1
+
+    def poisoned(x):
+        # a value the one-point search never reads would win if it were read
+        return (np.where(np.isin(x, want_points), f(x), -1e300),)
+
+    # guesses at either end predict the first step to each side, so one of
+    # them drops the first path unread
+    for guess in (a, want_x, b):
+        calls, (x, (fx,)) = step_by_hand(_golden_min(a, b, xtol, width, guess),
+                                         lambda x: (f(x),))
+        assert (x, fx) == (want_x, want_f)
+        evaluated = set(np.concatenate(calls).tolist())
+        assert evaluated >= set(want_points)
+        # the first call starts with the pair, no call holds more than
+        # max(width, 2) points, and each call after the first serves at
+        # least one step
+        assert calls[0][:2].tolist() == want_points[:2]
+        assert all(c.size <= max(width, 2) for c in calls)
+        assert len(calls) <= 1 + len(want_points) - 2
+        _, (x, (fx,)) = step_by_hand(_golden_min(a, b, xtol, width, guess), poisoned)
+        assert (x, fx) == (want_x, want_f)
 
 
 def tree_calls(steps, width):
@@ -816,22 +828,26 @@ def forced_golden(a, b, c, d, outcomes):
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.2, 0.2 + 1e-12), (0.7, np.nextafter(0.7, 1.0))])
 @pytest.mark.parametrize("left", (True, False))
-@pytest.mark.parametrize("steps", (1, 2, 5))
-def test_golden_tree_is_a_complete_heap(a, b, left, steps):
-    # node i's next point is node 2i + 1 when fc <= fd holds and 2i + 2
-    # when not, on every branch, including those that go on past where a
-    # search with a tolerance would stop (the bracket is below 1e-10 here)
+@pytest.mark.parametrize("where", (0.0, 0.3, 1.0))
+@pytest.mark.parametrize("steps, xtol", [(1, 0.0), (5, 0.0), (40, 0.0), (40, 1e-3)])
+def test_golden_path_takes_the_steps_of_its_sides(a, b, left, where, steps, xtol):
+    # a path's points are the one-point steps of the sides it reports: the
+    # side given first, then left while the guess lies at or left of the
+    # inner pair's midpoint; it ends after `steps` steps or where the
+    # bracket is no wider than xtol, also on brackets below 1e-10
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
-    points = _golden_tree(a, b, c, d, left, steps)
-    assert len(points) == 2**steps - 1
-    for node in range(len(points)):
-        outcomes, i = [], node
-        while i > 0:
-            outcomes.append(i % 2 == 1)
-            i = (i - 1) // 2
-        want = forced_golden(a, b, c, d, [left, *reversed(outcomes)])
-        assert points[node] == want[-1], node
+    guess = a + where * (b - a)
+    path = _golden_path(a, b, c, d, left, steps, guess, xtol)
+    sides = [side for side, _ in path]
+    assert [x for _, x in path] == forced_golden(a, b, c, d, sides)
+    assert _golden_path(a, b, c, d, left, 0, guess, xtol) == []
+    want, width = left, b - a
+    for side in sides:
+        assert side == want and width > xtol
+        a, b, c, d = (a, d, d - INVPHI * (d - a), c) if side else (c, b, d, c + INVPHI * (b - c))
+        want, width = guess <= (c + d) / 2, b - a
+    assert len(path) == steps or width <= xtol
 
 
 def test_notch_is_evaluated_in_the_grid_call():
@@ -913,8 +929,11 @@ def test_level_search_yields_the_calls_of_its_driver():
     batches, got = step_by_hand(_level_search(0.0, 1.0, 16, 1e-10, 7), profile)
     assert [b.tolist() for b in batches] == [c.tolist() for c in calls]
     assert batches[0].size == 17 and batches[0][-1] == np.nextafter(0.0, 1.0)
-    # each basin's first batch is its inner pair, and trees hold 1, 3 or 7
-    assert [b.size for b in batches[1:]].count(2) == 3
+    # each basin's first batch starts with its inner pair, and no batch
+    # holds more than the width of 7
+    pairs = [[b - INVPHI * (b - a), a + INVPHI * (b - a)]
+             for a, b in ((0.125, 0.25), (0.4375, 0.5625), (0.75, 0.875))]
+    assert sorted(b[:2].tolist() for b in batches[1:] if b[:2].tolist() in pairs) == pairs
     assert all(b.size <= 7 for b in batches[1:])
     assert got == want
     assert_read_at_its_own_level(*got)
